@@ -11,16 +11,13 @@ from .formats import (
 from .metrics import MetricsReport, evaluate, measure_mt, size_ratio
 from .pattern import (
     as_pattern,
-    connected_components,
     component_count,
-    neighborhood,
     non_unit_width_pixels,
 )
 from .shapes import RuggedSpec, ShapeSpec, generate, ruggedize
 from .thinning import (
     Schedule,
     contour_deletable,
-    extract_runs,
     is_endpoint,
     thin,
     thin_subcycle,
@@ -33,16 +30,13 @@ __all__ = [
     "ShapeSpec",
     "as_pattern",
     "component_count",
-    "connected_components",
     "contour_deletable",
     "evaluate",
     "export_voxels_csv",
-    "extract_runs",
     "generate",
     "gh_thin",
     "is_endpoint",
     "measure_mt",
-    "neighborhood",
     "non_unit_width_pixels",
     "read_ndbin",
     "read_pbm",

@@ -2,11 +2,16 @@
 
 Both use the mark-then-sweep scheme: each sub-iteration marks deletable
 pixels against the frozen pre-sub-iteration pattern, then deletes them all
-at once. Neighbor layout (row x grows downward, column y rightward):
+at once; iterations repeat until neither sub-iteration deletes. Neighbor
+layout (row x grows downward, column y rightward):
 
     P9 P2 P3
     P8 P1 P4
     P7 P6 P5
+
+Whether P1 is deletable depends only on P2..P9, so each rule is a scalar
+predicate per sub-iteration, tabulated at import over the 256 neighbor
+codes (bit i of the code is P(i+2)); one driver applies the tables.
 """
 
 from __future__ import annotations
@@ -15,99 +20,86 @@ import numpy as np
 
 from .pattern import DimensionError, as_pattern
 
-
-def _neighbor_planes(img):
-    p = np.pad(img, 1)
-    p2 = p[:-2, 1:-1]
-    p3 = p[:-2, 2:]
-    p4 = p[1:-1, 2:]
-    p5 = p[2:, 2:]
-    p6 = p[2:, 1:-1]
-    p7 = p[2:, :-2]
-    p8 = p[1:-1, :-2]
-    p9 = p[:-2, :-2]
-    return p2, p3, p4, p5, p6, p7, p8, p9
+# (row, column) offsets of P2..P9.
+_RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
 
-def _require_2d(pattern):
-    arr = as_pattern(pattern)
-    if arr.ndim != 2:
+def _zs_deletable(first, p2, p3, p4, p5, p6, p7, p8, p9):
+    """Zhang-Suen: 2 <= BP <= 6 and AP = 1, plus P2*P4*P6 = 0 and
+    P4*P6*P8 = 0 on the first sub-iteration (southeast boundary), or
+    P2*P4*P8 = 0 and P2*P6*P8 = 0 on the second (northwest boundary).
+    """
+    seq = (p2, p3, p4, p5, p6, p7, p8, p9, p2)
+    bp = sum(seq[:-1])
+    ap = sum(not a and b for a, b in zip(seq, seq[1:]))
+    if first:
+        corner = (p2 and p4 and p6) or (p4 and p6 and p8)
+    else:
+        corner = (p2 and p4 and p8) or (p2 and p6 and p8)
+    return 2 <= bp <= 6 and ap == 1 and not corner
+
+
+def _gh_deletable(first, p2, p3, p4, p5, p6, p7, p8, p9):
+    """Guo-Hall: connectivity number CP = 1, NP = min(NP1, NP2) in {2, 3},
+    and a zero directional term: (P2|P3|~P5) & P4 on the first (odd)
+    sub-iteration, (P6|P7|~P9) & P8 on the second.
+    """
+    cp = (
+        (not p2 and (p3 or p4))
+        + (not p4 and (p5 or p6))
+        + (not p6 and (p7 or p8))
+        + (not p8 and (p9 or p2))
+    )
+    np1 = (p9 or p2) + (p3 or p4) + (p5 or p6) + (p7 or p8)
+    np2 = (p2 or p3) + (p4 or p5) + (p6 or p7) + (p8 or p9)
+    if first:
+        directional = (p2 or p3 or not p5) and p4
+    else:
+        directional = (p6 or p7 or not p9) and p8
+    return cp == 1 and min(np1, np2) in (2, 3) and not directional
+
+
+def _tables(rule):
+    """The rule's two sub-iteration tables, indexed by neighbor code."""
+    rings = [[bool(code >> i & 1) for i in range(8)] for code in range(256)]
+    return tuple(np.array([rule(first, *ring) for ring in rings]) for first in (True, False))
+
+
+_ZS_TABLES = _tables(_zs_deletable)
+_GH_TABLES = _tables(_gh_deletable)
+
+
+def _neighbor_code(img):
+    p = np.pad(img, 1).view(np.uint8)
+    h, w = img.shape
+    code = np.zeros((h, w), np.uint8)
+    for bit, (dx, dy) in enumerate(_RING):
+        code += p[1 + dx : 1 + dx + h, 1 + dy : 1 + dy + w] * np.uint8(1 << bit)
+    return code
+
+
+def _thin(pattern, tables):
+    img = as_pattern(pattern).copy()
+    if img.ndim != 2:
         raise DimensionError("baseline thinning supports 2D patterns only")
-    return arr
+    iterations = 0
+    while True:
+        iterations += 1
+        changed = False
+        for table in tables:
+            cond = img & np.take(table, _neighbor_code(img))
+            if cond.any():
+                img[cond] = False
+                changed = True
+        if not changed:
+            return img, iterations
 
 
 def zs_thin(pattern) -> tuple[np.ndarray, int]:
-    """Zhang-Suen two-sub-iteration parallel thinning.
-
-    Sub-iteration 1 deletes pixels with 2 <= BP <= 6, AP = 1,
-    P2*P4*P6 = 0 and P4*P6*P8 = 0 (southeast boundary); sub-iteration 2
-    swaps the products to P2*P4*P8 and P2*P6*P8 (northwest boundary).
-    Iterates until neither sub-iteration deletes.
-    """
-    img = _require_2d(pattern).copy()
-    iterations = 0
-    while True:
-        iterations += 1
-        changed = False
-        for sub in (0, 1):
-            p2, p3, p4, p5, p6, p7, p8, p9 = _neighbor_planes(img)
-            seq = (p2, p3, p4, p5, p6, p7, p8, p9, p2)
-            bp = sum(n.astype(np.uint8) for n in seq[:-1])
-            ap = sum((~a & b).astype(np.uint8) for a, b in zip(seq[:-1], seq[1:]))
-            cond = img & (bp >= 2) & (bp <= 6) & (ap == 1)
-            if sub == 0:
-                cond &= ~(p2 & p4 & p6) & ~(p4 & p6 & p8)
-            else:
-                cond &= ~(p2 & p4 & p8) & ~(p2 & p6 & p8)
-            if cond.any():
-                img[cond] = False
-                changed = True
-        if not changed:
-            break
-    return img, iterations
+    """Zhang-Suen thinning (rule: _zs_deletable); returns (skeleton, iterations)."""
+    return _thin(pattern, _ZS_TABLES)
 
 
 def gh_thin(pattern) -> tuple[np.ndarray, int]:
-    """Guo-Hall two-sub-iteration parallel thinning.
-
-    Deletes pixels with connectivity number CP = 1, NP = min(NP1, NP2) in
-    {2, 3}, and a zero directional term: ((P2|P3|~P5) & P4) == 0 on the
-    first (odd) sub-iteration, ((P6|P7|~P9) & P8) == 0 on the second.
-    """
-    img = _require_2d(pattern).copy()
-    iterations = 0
-    while True:
-        iterations += 1
-        changed = False
-        for sub in (0, 1):
-            p2, p3, p4, p5, p6, p7, p8, p9 = _neighbor_planes(img)
-            cp = (
-                (~p2 & (p3 | p4)).astype(np.uint8)
-                + (~p4 & (p5 | p6)).astype(np.uint8)
-                + (~p6 & (p7 | p8)).astype(np.uint8)
-                + (~p8 & (p9 | p2)).astype(np.uint8)
-            )
-            np1 = (
-                (p9 | p2).astype(np.uint8)
-                + (p3 | p4).astype(np.uint8)
-                + (p5 | p6).astype(np.uint8)
-                + (p7 | p8).astype(np.uint8)
-            )
-            np2 = (
-                (p2 | p3).astype(np.uint8)
-                + (p4 | p5).astype(np.uint8)
-                + (p6 | p7).astype(np.uint8)
-                + (p8 | p9).astype(np.uint8)
-            )
-            npv = np.minimum(np1, np2)
-            if sub == 0:
-                directional = (p2 | p3 | ~p5) & p4
-            else:
-                directional = (p6 | p7 | ~p9) & p8
-            cond = img & (cp == 1) & (npv >= 2) & (npv <= 3) & ~directional
-            if cond.any():
-                img[cond] = False
-                changed = True
-        if not changed:
-            break
-    return img, iterations
+    """Guo-Hall thinning (rule: _gh_deletable); returns (skeleton, iterations)."""
+    return _thin(pattern, _GH_TABLES)

@@ -92,7 +92,7 @@ def cmd_gen(args) -> int:
     params = {name: getattr(args, name) for name in _GEN_PARAMS if getattr(args, name)}
     try:
         pattern = shapes.generate(ShapeSpec(kind=args.shape, grid=grid, params=params))
-    except MarginError:
+    except MarginError:  # a ValueError, but an algorithm error: exit 1, not 2
         raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc

@@ -8,6 +8,7 @@ followed by the cells as whitespace-separated bits in row-major order.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +57,12 @@ def _next_token(tokens, data, what):
 
 def _next_int(tokens, data, what, minimum=1):
     tok, off = _next_token(tokens, data, what)
+    # ASCII digits only: int() would also take '1_0' and '+5'.
+    if not tok.isdigit():
+        raise ParseError(f"bad {what} {tok!r}", off)
     try:
         value = int(tok)
-    except ValueError:
+    except ValueError:  # more digits than int() converts
         raise ParseError(f"bad {what} {tok!r}", off) from None
     if value < minimum:
         raise ParseError(f"{what} must be >= {minimum}, got {value}", off)
@@ -113,7 +117,7 @@ def read_ndbin(data: bytes) -> np.ndarray:
         raise ParseError(f"unsupported magic {magic!r} (expected 'NDBIN')", off)
     k = _next_int(tokens, data, "dimension count", minimum=2)
     shape = tuple(_next_int(tokens, data, f"size of dimension {i}") for i in range(k))
-    total = int(np.prod(shape))
+    total = math.prod(shape)  # a Python int: np.prod can wrap to 0
     if total > _MAX_CELLS:
         raise ParseError(f"dimension overflow: {'x'.join(map(str, shape))}", 0)
     bits = []

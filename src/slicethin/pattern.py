@@ -7,9 +7,6 @@ array are treated as background everywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
-
 import numpy as np
 from scipy import ndimage
 
@@ -39,59 +36,8 @@ def foreground_count(pattern) -> int:
     return int(np.count_nonzero(as_pattern(pattern)))
 
 
-def foreground_coords(pattern) -> set[Coord]:
-    arr = as_pattern(pattern)
-    return {tuple(map(int, c)) for c in np.argwhere(arr)}
-
-
-def in_bounds(shape: tuple[int, ...], c: Coord) -> bool:
-    return len(c) == len(shape) and all(0 <= ci < ni for ci, ni in zip(c, shape))
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """The in-bounds Chebyshev-1 ball around a cell, center included."""
-
-    center: Coord
-    members: frozenset[Coord]
-    foreground_count: int
-
-
-def _clipped_ranges(shape, c):
-    return [range(max(ci - 1, 0), min(ci + 1, ni - 1) + 1) for ci, ni in zip(c, shape)]
-
-
-def neighborhood(pattern, c) -> Neighborhood:
-    """All in-bounds coords at Chebyshev distance <= 1 from ``c``.
-
-    Out-of-bounds positions are background and are omitted from the member
-    set. ``foreground_count`` includes the center cell itself.
-    """
-    arr = as_pattern(pattern)
-    c = tuple(int(x) for x in c)
-    if not in_bounds(arr.shape, c):
-        raise IndexError(f"center {c} out of bounds for shape {arr.shape}")
-    ranges = _clipped_ranges(arr.shape, c)
-    members = frozenset(product(*ranges))
-    block = arr[tuple(slice(r.start, r.stop) for r in ranges)]
-    return Neighborhood(center=c, members=members, foreground_count=int(block.sum()))
-
-
-def connected_components(pattern) -> tuple[int, dict[Coord, int]]:
-    """Label foreground under (3^k - 1)-adjacency (8-connectivity in 2D).
-
-    Returns the component count and a coord -> label map for every
-    foreground cell. Labels start at 1.
-    """
-    arr = as_pattern(pattern)
-    structure = np.ones((3,) * arr.ndim, dtype=bool)
-    labeled, count = ndimage.label(arr, structure=structure)
-    labels = {tuple(map(int, c)): int(labeled[tuple(c)]) for c in np.argwhere(arr)}
-    return count, labels
-
-
 def component_count(pattern) -> int:
-    """Component count only, skipping the label map."""
+    """Count foreground components under (3^k - 1)-adjacency (8-connectivity in 2D)."""
     arr = as_pattern(pattern)
     structure = np.ones((3,) * arr.ndim, dtype=bool)
     _, count = ndimage.label(arr, structure=structure)

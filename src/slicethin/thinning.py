@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .pattern import Coord, as_pattern, in_bounds
+from .pattern import as_pattern
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -76,48 +76,6 @@ class Schedule:
         return ";".join(
             ",".join(f"{axis}{dirs}" for axis, dirs in phase) for phase in self.phases
         )
-
-
-@dataclass(frozen=True)
-class Run:
-    """A maximal foreground segment of a 1xN slice along ``axis``.
-
-    ``fixed`` holds the coordinates of the other k-1 dimensions; ``back``
-    and ``front`` are the lowest and highest slice indices of the segment.
-    """
-
-    axis: int
-    fixed: tuple[int, ...]
-    back: int
-    front: int
-
-    def back_coord(self) -> Coord:
-        return self.fixed[: self.axis] + (self.back,) + self.fixed[self.axis :]
-
-    def front_coord(self) -> Coord:
-        return self.fixed[: self.axis] + (self.front,) + self.fixed[self.axis :]
-
-
-def extract_runs(pattern, axis: int, fixed: tuple[int, ...]) -> list[Run]:
-    """Maximal foreground runs of one slice, in increasing index order."""
-    arr = as_pattern(pattern)
-    if not 0 <= axis < arr.ndim:
-        raise ValueError(f"axis {axis} out of range")
-    fixed = tuple(int(x) for x in fixed)
-    idx = fixed[:axis] + (slice(None),) + fixed[axis:]
-    line = arr[idx]
-    runs = []
-    n = line.shape[0]
-    y = 0
-    while y < n:
-        if not line[y]:
-            y += 1
-            continue
-        back = y
-        while y < n and line[y]:
-            y += 1
-        runs.append(Run(axis=axis, fixed=fixed, back=back, front=y - 1))
-    return runs
 
 
 def is_endpoint(pattern, p) -> bool:
@@ -191,8 +149,8 @@ def contour_deletable(pattern, p, axis: int, direction: str) -> bool:
         sign = -1
     else:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    nxt = p[:axis] + (p[axis] + sign,) + p[axis + 1 :]
-    if in_bounds(arr.shape, nxt) and arr[nxt]:
+    nxt = p[axis] + sign
+    if 0 <= nxt < arr.shape[axis] and arr[p[:axis] + (nxt,) + p[axis + 1 :]]:
         raise ValueError(f"{p} is not the run's {direction} contour along axis {axis}")
     return _deletable(arr, p, axis, sign)
 

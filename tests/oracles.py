@@ -6,6 +6,13 @@ scans, not against the numpy implementations under test.
 
 from itertools import product
 
+import numpy as np
+
+
+def foreground_coords(arr):
+    """The foreground cells of a numpy pattern, as a set of coordinate tuples."""
+    return {tuple(map(int, c)) for c in np.argwhere(arr)}
+
 
 def ball(shape, p):
     """In-bounds coords at Chebyshev distance <= 1 from p, p included."""
@@ -54,7 +61,7 @@ def thin_deletable_oracle(fg, shape, p, axis, sign):
     return True
 
 
-def _subcycle_oracle(fg, shape, axis, dirs):
+def subcycle_oracle(fg, shape, axis, dirs):
     other = [d for d in range(len(shape)) if d != axis]
     for fixed in product(*[range(shape[d]) for d in other]):
 
@@ -96,7 +103,7 @@ def thin_oracle(fg, shape, phases=None):
             iterations += 1
             before = set(fg)
             for axis, dirs in phase:
-                _subcycle_oracle(fg, shape, axis, dirs)
+                subcycle_oracle(fg, shape, axis, dirs)
             if fg == before:
                 break
     return fg, iterations
@@ -116,64 +123,57 @@ def _ring(fg, x, y):
     )
 
 
-def zs_oracle(fg, shape):
+def zs_deletable_oracle(ring, sub):
+    """Zhang-Suen deletability of a pixel with neighbors ``ring`` = P2..P9."""
+    p2, p3, p4, p5, p6, p7, p8, p9 = ring
+    seq = [p2, p3, p4, p5, p6, p7, p8, p9, p2]
+    bp = sum(seq[:-1])
+    ap = sum(1 for a, b in zip(seq[:-1], seq[1:]) if not a and b)
+    if not (2 <= bp <= 6 and ap == 1):
+        return False
+    if sub == 0:
+        return not ((p2 and p4 and p6) or (p4 and p6 and p8))
+    return not ((p2 and p4 and p8) or (p2 and p6 and p8))
+
+
+def gh_deletable_oracle(ring, sub):
+    """Guo-Hall deletability of a pixel with neighbors ``ring`` = P2..P9."""
+    p2, p3, p4, p5, p6, p7, p8, p9 = ring
+    cp = (
+        (not p2 and (p3 or p4))
+        + (not p4 and (p5 or p6))
+        + (not p6 and (p7 or p8))
+        + (not p8 and (p9 or p2))
+    )
+    np1 = (p9 or p2) + (p3 or p4) + (p5 or p6) + (p7 or p8)
+    np2 = (p2 or p3) + (p4 or p5) + (p6 or p7) + (p8 or p9)
+    npv = min(np1, np2)
+    if sub == 0:
+        directional = (p2 or p3 or not p5) and p4
+    else:
+        directional = (p6 or p7 or not p9) and p8
+    return bool(cp == 1 and npv in (2, 3) and not directional)
+
+
+def _mark_sweep_oracle(fg, deletable):
     fg = set(fg)
     iterations = 0
     while True:
         iterations += 1
         changed = False
         for sub in (0, 1):
-            marked = []
-            for x, y in fg:
-                p2, p3, p4, p5, p6, p7, p8, p9 = _ring(fg, x, y)
-                seq = [p2, p3, p4, p5, p6, p7, p8, p9, p2]
-                bp = sum(seq[:-1])
-                ap = sum(1 for a, b in zip(seq[:-1], seq[1:]) if not a and b)
-                if not (2 <= bp <= 6 and ap == 1):
-                    continue
-                if sub == 0:
-                    if (p2 and p4 and p6) or (p4 and p6 and p8):
-                        continue
-                else:
-                    if (p2 and p4 and p8) or (p2 and p6 and p8):
-                        continue
-                marked.append((x, y))
+            marked = {(x, y) for x, y in fg if deletable(_ring(fg, x, y), sub)}
             if marked:
-                fg -= set(marked)
+                fg -= marked
                 changed = True
         if not changed:
             break
     return fg, iterations
+
+
+def zs_oracle(fg, shape):
+    return _mark_sweep_oracle(fg, zs_deletable_oracle)
 
 
 def gh_oracle(fg, shape):
-    fg = set(fg)
-    iterations = 0
-    while True:
-        iterations += 1
-        changed = False
-        for sub in (0, 1):
-            marked = []
-            for x, y in fg:
-                p2, p3, p4, p5, p6, p7, p8, p9 = _ring(fg, x, y)
-                cp = (
-                    (not p2 and (p3 or p4))
-                    + (not p4 and (p5 or p6))
-                    + (not p6 and (p7 or p8))
-                    + (not p8 and (p9 or p2))
-                )
-                np1 = (p9 or p2) + (p3 or p4) + (p5 or p6) + (p7 or p8)
-                np2 = (p2 or p3) + (p4 or p5) + (p6 or p7) + (p8 or p9)
-                npv = min(np1, np2)
-                if sub == 0:
-                    directional = (p2 or p3 or not p5) and p4
-                else:
-                    directional = (p6 or p7 or not p9) and p8
-                if cp == 1 and npv in (2, 3) and not directional:
-                    marked.append((x, y))
-            if marked:
-                fg -= set(marked)
-                changed = True
-        if not changed:
-            break
-    return fg, iterations
+    return _mark_sweep_oracle(fg, gh_deletable_oracle)

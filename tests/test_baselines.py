@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
+from slicethin import baselines
 from slicethin.baselines import gh_thin, zs_thin
-from slicethin.pattern import DimensionError, foreground_coords
+from slicethin.pattern import DimensionError
 
-from oracles import gh_oracle, zs_oracle
+from oracles import (
+    foreground_coords,
+    gh_deletable_oracle,
+    gh_oracle,
+    zs_deletable_oracle,
+    zs_oracle,
+)
 
 
 def random_pattern(shape, density, seed):
@@ -116,3 +123,33 @@ class TestGuoHall:
         again, it = gh_thin(sk)
         assert np.array_equal(again, sk) and it == 1
         assert np.array_equal(gh_thin(p)[0], sk)
+
+
+# P2..P9 around the centre (2, 2) of a 5x5 grid; bit i of a ring code is P(i+2).
+RING = ((1, 2), (1, 3), (2, 3), (3, 3), (3, 2), (3, 1), (2, 1), (1, 1))
+
+
+@pytest.mark.parametrize("thin_fn, oracle", [(zs_thin, zs_oracle), (gh_thin, gh_oracle)])
+def test_every_ring_code_matches_oracle(thin_fn, oracle):
+    # The centre's code reaches every entry of the first sub-iteration's
+    # table; test_tables_match_oracle_rule covers the second table too.
+    for code in range(256):
+        p = np.zeros((5, 5), bool)
+        p[2, 2] = True
+        for bit, c in enumerate(RING):
+            p[c] = bool(code >> bit & 1)
+        sk, it = thin_fn(p)
+        oracle_fg, oracle_it = oracle(foreground_coords(p), p.shape)
+        assert foreground_coords(sk) == oracle_fg, code
+        assert it == oracle_it, code
+
+
+@pytest.mark.parametrize(
+    "tables, deletable",
+    [(baselines._ZS_TABLES, zs_deletable_oracle), (baselines._GH_TABLES, gh_deletable_oracle)],
+)
+def test_tables_match_oracle_rule(tables, deletable):
+    for sub, table in enumerate(tables):
+        for code in range(256):
+            ring = tuple(bool(code >> i & 1) for i in range(8))
+            assert table[code] == deletable(ring, sub), (sub, code)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
+from slicethin.cli import main
 from slicethin.formats import (
     FormatError,
     ParseError,
@@ -49,8 +50,11 @@ class TestPbm:
             read_pbm(b"P1\n2 2\n1 1\n1 x\n")
 
     def test_bad_dimension(self):
-        with pytest.raises(ParseError):
-            read_pbm(b"P1\n0 2\n")
+        # Sizes are ASCII decimal digits: int() alone would take 1_0 and +5.
+        for raw in (b"P1\n0 2\n", b"P1 1_0 1 0000000000", b"P1 +5 1 00000"):
+            with pytest.raises(ParseError) as exc:
+                read_pbm(raw)
+            assert exc.value.offset == 3
 
     def test_comments_and_packed_bits(self):
         arr = read_pbm(b"P1\n# a comment\n2 2 # trailing\n1011\n")
@@ -98,6 +102,21 @@ class TestNdbin:
     def test_bad_bit_token(self):
         with pytest.raises(ParseError):
             read_ndbin(b"NDBIN\n2\n1 2\n1 2\n")
+
+    def test_bad_size_token(self):
+        with pytest.raises(ParseError) as exc:
+            read_ndbin(b"NDBIN\n2\n1 1_0\n" + b"0 " * 10)
+        assert exc.value.offset == 10
+
+    def test_size_product_does_not_wrap(self, tmp_path):
+        # 2^32 * 2^32 wraps to 0 in int64 and would pass the size guard.
+        raw = b"NDBIN 2 4294967296 4294967296"
+        with pytest.raises(ParseError, match="dimension overflow"):
+            read_ndbin(raw)
+        path = tmp_path / "huge.ndbin"
+        path.write_bytes(raw)
+        out = tmp_path / "o.ndbin"
+        assert main(["thin", "--algo", "nd", "--input", str(path), "--output", str(out)]) == 2
 
     @given(
         hnp.arrays(

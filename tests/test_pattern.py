@@ -7,13 +7,12 @@ from slicethin.pattern import (
     DimensionError,
     as_pattern,
     component_count,
-    connected_components,
     foreground_count,
-    neighborhood,
     non_unit_width_pixels,
 )
+from slicethin.thinning import is_endpoint
 
-from oracles import components_oracle, nuw_oracle
+from oracles import ball, components_oracle, nuw_oracle
 
 
 def random_pattern(shape, density, seed):
@@ -36,32 +35,31 @@ class TestAsPattern:
 
 
 class TestNeighborhood:
+    """The in-bounds Chebyshev-1 ball that the oracles build on."""
+
     def test_interior_2d(self):
-        p = np.zeros((5, 5), bool)
-        nb = neighborhood(p, (2, 2))
-        assert len(nb.members) == 9
+        assert len(ball((5, 5), (2, 2))) == 9
 
     def test_corner_clips(self):
-        p = np.zeros((5, 5), bool)
-        nb = neighborhood(p, (0, 0))
-        assert len(nb.members) == 4
+        assert ball((5, 5), (0, 0)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_interior_3d(self):
-        p = np.zeros((5, 5, 5), bool)
-        nb = neighborhood(p, (2, 2, 2))
-        assert len(nb.members) == 27
+        assert len(ball((5, 5, 5), (2, 2, 2))) == 27
 
     def test_center_is_member_and_counted(self):
+        # The end-point test counts the centre: with one neighbour the block
+        # holds 2 cells, with two it holds 3.
+        assert (1, 1) in ball((4, 4), (1, 1))
         p = np.zeros((4, 4), bool)
-        p[1, 1] = True
-        nb = neighborhood(p, (1, 1))
-        assert (1, 1) in nb.members
-        assert nb.foreground_count == 1
+        p[1, 1] = p[0, 0] = True
+        assert is_endpoint(p, (1, 1))
+        p[2, 2] = True
+        assert not is_endpoint(p, (1, 1))
 
     def test_out_of_bounds_center(self):
-        p = np.zeros((4, 4), bool)
+        p = np.ones((4, 4), bool)
         with pytest.raises(IndexError):
-            neighborhood(p, (4, 0))
+            is_endpoint(p, (4, 0))
 
     @given(
         hyp.lists(hyp.integers(min_value=1, max_value=7), min_size=2, max_size=4),
@@ -70,31 +68,25 @@ class TestNeighborhood:
     @settings(max_examples=80, deadline=None)
     def test_member_count_closed_form(self, shape, data):
         c = tuple(data.draw(hyp.integers(0, n - 1)) for n in shape)
-        nb = neighborhood(np.zeros(shape, bool), c)
         expected = 1
         for ci, ni in zip(c, shape):
             expected *= min(ci + 1, ni - 1) - max(ci - 1, 0) + 1
-        assert len(nb.members) == expected
+        assert len(ball(shape, c)) == expected
 
 
 class TestConnectedComponents:
     def test_empty(self):
-        count, labels = connected_components(np.zeros((5, 5), bool))
-        assert count == 0 and labels == {}
+        assert component_count(np.zeros((5, 5), bool)) == 0
 
     def test_two_separated(self):
         p = np.zeros((5, 5), bool)
         p[0, 0] = p[4, 4] = True
-        count, labels = connected_components(p)
-        assert count == 2
-        assert labels[(0, 0)] != labels[(4, 4)]
+        assert component_count(p) == 2
 
     def test_diagonal_adjacency(self):
         p = np.zeros((5, 5), bool)
         p[0, 0] = p[1, 1] = True
-        count, labels = connected_components(p)
-        assert count == 1
-        assert labels[(0, 0)] == labels[(1, 1)]
+        assert component_count(p) == 1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_count_matches_bfs_oracle_2d(self, seed):

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from slicethin.pattern import component_count, foreground_coords
+from slicethin.pattern import component_count
 from slicethin.thinning import (
-    Run,
     Schedule,
     ScheduleError,
     contour_deletable,
-    extract_runs,
     is_endpoint,
     thin,
     thin_subcycle,
 )
 
-from oracles import thin_oracle
+from oracles import foreground_coords, subcycle_oracle, thin_oracle
 
 
 def from_coords(shape, coords):
@@ -50,23 +48,36 @@ class TestSchedule:
             Schedule.parse("2fb").validate(2)
 
 
-class TestExtractRuns:
+class TestRunScan:
+    """thin_subcycle finds every maximal run of a slice and tests its ends."""
+
     def test_two_runs(self):
-        arr = from_coords((1, 5), [(0, 1), (0, 2), (0, 4)])
-        runs = extract_runs(arr, 1, (0,))
-        assert [(r.back, r.front) for r in runs] == [(1, 2), (4, 4)]
+        # Two 3x3 blocks share every row: one horizontal pass thins both
+        # runs of each row to the block's centre column.
+        arr = np.zeros((3, 7), bool)
+        arr[:, 0:3] = arr[:, 4:7] = True
+        assert thin_subcycle(arr, 1, "fb") is True
+        assert foreground_coords(arr) == {(x, y) for x in range(3) for y in (1, 5)}
 
     def test_background_slice(self):
-        assert extract_runs(np.zeros((3, 4), bool), 1, (0,)) == []
+        arr = np.zeros((3, 4), bool)
+        assert thin_subcycle(arr, 1, "fb") is False
+        assert not arr.any()
 
     def test_full_slice(self):
-        runs = extract_runs(np.ones((2, 3), bool), 1, (1,))
-        assert runs == [Run(axis=1, fixed=(1,), back=0, front=2)]
+        # Runs that touch both ends of the slice.
+        arr = np.ones((2, 3), bool)
+        assert thin_subcycle(arr, 1, "fb") is True
+        assert foreground_coords(arr) == {(0, 1), (1, 1)}
 
     def test_run_coords(self):
-        run = Run(axis=0, fixed=(2, 3), back=1, front=4)
-        assert run.back_coord() == (1, 2, 3)
-        assert run.front_coord() == (4, 2, 3)
+        # The slice index goes back in at ``axis`` among the fixed coordinates.
+        for axis in range(3):
+            arr = random_pattern((5, 4, 6), 0.6, axis)
+            fg = foreground_coords(arr)
+            subcycle_oracle(fg, arr.shape, axis, "fb")
+            thin_subcycle(arr, axis, "fb")
+            assert foreground_coords(arr) == fg
 
 
 class TestIsEndpoint:
