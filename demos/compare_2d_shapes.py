@@ -1,6 +1,6 @@
 """Thin a few simple 2D shapes with all three algorithms and compare.
 
-Run:  python3 demos/compare_2d_shapes.py
+Run:  PYTHONPATH=src python3 demos/compare_2d_shapes.py
 """
 
 import numpy as np

@@ -4,7 +4,7 @@ A rugged cylinder is thinned with several axis subsets; a solid box is
 reduced to its medial plane and then to a medial axis by a two-phase
 schedule (z first, then x/y alternately).
 
-Run:  python3 demos/medial_plane_3d.py [outdir]
+Run:  PYTHONPATH=src python3 demos/medial_plane_3d.py [outdir]
 """
 
 import sys

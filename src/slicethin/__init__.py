@@ -17,8 +17,6 @@ from .pattern import (
 from .shapes import RuggedSpec, ShapeSpec, generate, ruggedize
 from .thinning import (
     Schedule,
-    contour_deletable,
-    is_endpoint,
     thin,
     thin_subcycle,
 )
@@ -30,12 +28,10 @@ __all__ = [
     "ShapeSpec",
     "as_pattern",
     "component_count",
-    "contour_deletable",
     "evaluate",
     "export_voxels_csv",
     "generate",
     "gh_thin",
-    "is_endpoint",
     "measure_mt",
     "non_unit_width_pixels",
     "read_ndbin",

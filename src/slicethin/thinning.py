@@ -12,13 +12,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 import numpy as np
 
 from .pattern import as_pattern
-
-FORWARD = "forward"
-BACKWARD = "backward"
 
 
 class ScheduleError(ValueError):
@@ -78,81 +76,39 @@ class Schedule:
         )
 
 
-def is_endpoint(pattern, p) -> bool:
-    """True when p's 3^k neighborhood holds <= 2 foreground cells (p included)."""
-    arr = as_pattern(pattern)
-    p = tuple(int(x) for x in p)
-    if not arr[p]:
-        raise ValueError(f"is_endpoint called on background cell {p}")
-    return _block_sum(arr, p) <= 2
+def _offsets(strides, axis):
+    """Flat offsets around a cell p, for a run extreme along ``axis``.
 
-
-def _block_sum(arr, p):
-    sl = tuple(
-        slice(max(pi - 1, 0), min(pi + 1, ni - 1) + 1) for pi, ni in zip(p, arr.shape)
-    )
-    return int(arr[sl].sum())
-
-
-def _deletable(arr, p, axis, sign):
-    """Deletability of a run extreme; sign +1 tests a front pixel, -1 a back.
-
-    Retains end-points. Otherwise, for every foreground neighbor F in the
-    adjacent hyperplane ahead of p (along axis, in sign direction), the
-    intersection of F's trailing neighbors with p's neighborhood minus p
-    must contain at least one foreground cell; an all-background
-    intersection means p carries the connection to F and must stay.
+    Returns the offsets of p's 3^k block, then one list for the plane ahead
+    of p forward and one backward along ``axis``. Each holds, for every cell
+    F of that plane, F's offset and the offsets of the cells in p's plane
+    next to both p and F (p left out).
     """
-    if _block_sum(arr, p) <= 2:
+    flat = {
+        delta: sum(d * s for d, s in zip(delta, strides))
+        for delta in product((-1, 0, 1), repeat=len(strides))
+    }
+    ahead = {1: [], -1: []}
+    for f in flat:
+        if f[axis]:
+            # Cells next to both p (the origin) and F, in p's plane.
+            near = [range(max(x - 1, -1), min(x + 1, 1) + 1) for x in f]
+            near[axis] = (0,)
+            ahead[f[axis]].append((flat[f], [flat[c] for c in product(*near) if any(c)]))
+    return list(flat.values()), ahead[1], ahead[-1]
+
+
+def _deletable(buf, i, block, ahead):
+    """Deletability of the run extreme at flat index ``i`` of a padded buffer.
+
+    Retains end-points (<= 2 foreground cells in the 3^k block, p included).
+    Otherwise every foreground cell F ahead of p must share a foreground
+    neighbour with p in p's plane; if none does, p carries the connection
+    to F and must stay.
+    """
+    if sum(buf[i + o] for o in block) <= 2:
         return False
-    shape = arr.shape
-    fa = p[axis] + sign
-    if not 0 <= fa < shape[axis]:
-        return True
-    other = [d for d in range(arr.ndim) if d != axis]
-    ranges = [range(max(p[d] - 1, 0), min(p[d] + 1, shape[d] - 1) + 1) for d in other]
-    for rest in product(*ranges):
-        f = list(rest)
-        f.insert(axis, fa)
-        if not arr[tuple(f)]:
-            continue
-        # The intersection lives in p's own hyperplane along axis: every
-        # shared cell strictly behind F has axis index exactly p[axis].
-        box = []
-        for d in range(arr.ndim):
-            if d == axis:
-                box.append(p[axis])
-            else:
-                lo = max(p[d] - 1, f[d] - 1, 0)
-                hi = min(p[d] + 1, f[d] + 1, shape[d] - 1)
-                box.append(slice(lo, hi + 1))
-        # p itself always falls inside the box; subtract it.
-        if int(arr[tuple(box)].sum()) - 1 == 0:
-            return False
-    return True
-
-
-def contour_deletable(pattern, p, axis: int, direction: str) -> bool:
-    """Whether a run's contour pixel may be deleted.
-
-    ``direction`` is "forward" for the run's front pixel or "backward" for
-    its back pixel. The next cell along the axis in that direction must be
-    background (or out of bounds), i.e. p really is the run extreme.
-    """
-    arr = as_pattern(pattern)
-    p = tuple(int(x) for x in p)
-    if not arr[p]:
-        raise ValueError(f"contour_deletable called on background cell {p}")
-    if direction == FORWARD:
-        sign = 1
-    elif direction == BACKWARD:
-        sign = -1
-    else:
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    nxt = p[axis] + sign
-    if 0 <= nxt < arr.shape[axis] and arr[p[:axis] + (nxt,) + p[axis + 1 :]]:
-        raise ValueError(f"{p} is not the run's {direction} contour along axis {axis}")
-    return _deletable(arr, p, axis, sign)
+    return all(not buf[i + f] or any(buf[i + c] for c in shared) for f, shared in ahead)
 
 
 def thin_subcycle(pattern: np.ndarray, axis: int, directions: str = "fb") -> bool:
@@ -163,41 +119,54 @@ def thin_subcycle(pattern: np.ndarray, axis: int, directions: str = "fb") -> boo
     first; the back pixel is only considered while the cell just ahead of it
     is still foreground (otherwise the run is already a single survivor).
     Returns whether any cell was deleted.
+
+    The scan works on a flat byte copy padded by one background cell on
+    every face, so every neighbour of a cell has a fixed flat offset and
+    the padding ends every run.
     """
     arr = pattern
     if arr.dtype != bool or arr.ndim < 2:
         raise ValueError("thin_subcycle requires a mutable bool pattern array")
     if not 0 <= axis < arr.ndim:
         raise ValueError(f"axis {axis} out of range")
-    n = arr.shape[axis]
-    other_shape = arr.shape[:axis] + arr.shape[axis + 1 :]
+    shape = tuple(n + 2 for n in arr.shape)
+    buf = bytearray(prod(shape))
+    view = np.frombuffer(buf, bool).reshape(shape)
+    interior = (slice(1, -1),) * arr.ndim
+    view[interior] = arr
+    strides = view.strides  # in cells: a bool is one byte
+    step = strides[axis]
+    block, ahead_f, ahead_b = _offsets(strides, axis)
+    # Each line's first interior cell, lines in lexicographic order.
+    starts = step
+    for j, n in enumerate(arr.shape):
+        if j != axis:
+            starts = np.add.outer(starts, np.arange(1, n + 1) * strides[j])
+    starts = np.ravel(starts).tolist()
+    length = arr.shape[axis] * step
     do_f = "f" in directions
     do_b = "b" in directions
     changed = False
-    for fixed in np.ndindex(*other_shape):
-        idx = fixed[:axis] + (slice(None),) + fixed[axis:]
-        line = arr[idx]
-        y = 0
-        while y < n:
-            if not line[y]:
-                y += 1
+    for i in starts:
+        end = i + length
+        while i < end:
+            if not buf[i]:
+                i += step
                 continue
-            back = y
-            while y < n and line[y]:
-                y += 1
-            front = y - 1
+            back = i
+            while buf[i]:
+                i += step
+            front = i - step
             if front == back:
                 continue
-            if do_f:
-                pf = fixed[:axis] + (front,) + fixed[axis:]
-                if _deletable(arr, pf, axis, 1):
-                    line[front] = False
-                    changed = True
-            if do_b and line[back + 1]:
-                pb = fixed[:axis] + (back,) + fixed[axis:]
-                if _deletable(arr, pb, axis, -1):
-                    line[back] = False
-                    changed = True
+            if do_f and _deletable(buf, front, block, ahead_f):
+                buf[front] = 0
+                changed = True
+            if do_b and buf[back + step] and _deletable(buf, back, block, ahead_b):
+                buf[back] = 0
+                changed = True
+    if changed:
+        arr[...] = view[interior]
     return changed
 
 

@@ -10,9 +10,9 @@ from slicethin.pattern import (
     foreground_count,
     non_unit_width_pixels,
 )
-from slicethin.thinning import is_endpoint
+from slicethin.thinning import thin_subcycle
 
-from oracles import ball, components_oracle, nuw_oracle
+from oracles import ball, components_oracle, foreground_coords, nuw_oracle, subcycle_oracle
 
 
 def random_pattern(shape, density, seed):
@@ -47,19 +47,20 @@ class TestNeighborhood:
         assert len(ball((5, 5, 5), (2, 2, 2))) == 27
 
     def test_center_is_member_and_counted(self):
-        # The end-point test counts the centre: with one neighbour the block
-        # holds 2 cells, with two it holds 3.
-        assert (1, 1) in ball((4, 4), (1, 1))
-        p = np.zeros((4, 4), bool)
-        p[1, 1] = p[0, 0] = True
-        assert is_endpoint(p, (1, 1))
-        p[2, 2] = True
-        assert not is_endpoint(p, (1, 1))
-
-    def test_out_of_bounds_center(self):
-        p = np.ones((4, 4), bool)
-        with pytest.raises(IndexError):
-            is_endpoint(p, (4, 0))
+        # The end-point test counts the centre: the front pixel (1, 1) with
+        # one neighbour holds 2 cells of its block and stays; with two it
+        # holds 3 and goes, as nothing lies ahead of it. The oracle agrees.
+        assert (1, 1) in ball((3, 3), (1, 1))
+        for coords, kept in [
+            ({(1, 0), (1, 1)}, {(1, 0), (1, 1)}),
+            ({(0, 0), (1, 0), (1, 1)}, {(0, 0), (1, 0)}),
+        ]:
+            arr = np.zeros((3, 3), bool)
+            arr[tuple(zip(*coords))] = True
+            fg = set(coords)
+            subcycle_oracle(fg, arr.shape, 1, "f")
+            thin_subcycle(arr, 1, "f")
+            assert foreground_coords(arr) == fg == kept
 
     @given(
         hyp.lists(hyp.integers(min_value=1, max_value=7), min_size=2, max_size=4),

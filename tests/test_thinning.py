@@ -5,8 +5,6 @@ from slicethin.pattern import component_count
 from slicethin.thinning import (
     Schedule,
     ScheduleError,
-    contour_deletable,
-    is_endpoint,
     thin,
     thin_subcycle,
 )
@@ -80,57 +78,56 @@ class TestRunScan:
             assert foreground_coords(arr) == fg
 
 
+def check_subcycle(arr, axis, dirs, kept):
+    """Run one sub-cycle; it must agree with the oracle and keep ``kept``."""
+    fg = foreground_coords(arr)
+    subcycle_oracle(fg, arr.shape, axis, dirs)
+    thin_subcycle(arr, axis, dirs)
+    assert foreground_coords(arr) == fg == kept
+
+
 class TestIsEndpoint:
+    """End-points (<= 2 cells in the 3^k block, p included) are never deleted."""
+
     def test_isolated_pixel(self):
         arr = from_coords((3, 3), [(1, 1)])
-        assert is_endpoint(arr, (1, 1))
+        check_subcycle(arr, 1, "fb", {(1, 1)})
 
     def test_one_neighbor(self):
-        arr = from_coords((3, 3), [(1, 1), (0, 0)])
-        assert is_endpoint(arr, (1, 1))
+        # A run of two: each end has one neighbour, so both stay.
+        arr = from_coords((3, 4), [(1, 1), (1, 2)])
+        check_subcycle(arr, 1, "f", {(1, 1), (1, 2)})
 
     def test_plus_center(self):
-        arr = from_coords((3, 3), [(1, 1), (0, 1), (2, 1), (1, 0), (1, 2)])
-        assert not is_endpoint(arr, (1, 1))
-
-    def test_background_raises(self):
-        with pytest.raises(ValueError):
-            is_endpoint(np.zeros((3, 3), bool), (1, 1))
+        # The front pixel (1, 2) has two neighbours, (1, 1) and (2, 1), and
+        # nothing ahead of it: it is deleted.
+        arr = from_coords((3, 4), [(1, 1), (1, 2), (2, 1)])
+        check_subcycle(arr, 1, "f", {(1, 1), (2, 1)})
 
 
 class TestContourDeletable:
+    """The deletability of a run extreme, checked through one-direction sub-cycles."""
+
     def test_retained_when_bridge_to_ahead_neighbor(self):
         # Deleting (1,1) would disconnect (1,0) from (0,2): the shared
         # cell (0,1) is background, so the forward pixel must stay.
         arr = from_coords((3, 4), [(1, 0), (1, 1), (0, 2)])
-        assert contour_deletable(arr, (1, 1), 1, "forward") is False
+        check_subcycle(arr, 1, "f", {(1, 0), (1, 1), (0, 2)})
 
     def test_deletable_with_no_ahead_neighbors(self):
+        # Each row's front pixel (x, 2) has nothing ahead and is deleted.
         arr = np.zeros((3, 4), bool)
         arr[0:3, 0:3] = True
-        assert contour_deletable(arr, (1, 2), 1, "forward") is True
+        check_subcycle(arr, 1, "f", {(x, y) for x in range(3) for y in range(2)})
 
     def test_backward_mirror(self):
+        # Deleting (1,1) would disconnect (1,2) from (0,0) behind it.
         arr = from_coords((3, 4), [(0, 0), (1, 1), (1, 2)])
-        assert contour_deletable(arr, (1, 1), 1, "backward") is False
+        check_subcycle(arr, 1, "b", {(0, 0), (1, 1), (1, 2)})
 
     def test_endpoint_retained(self):
         arr = from_coords((3, 4), [(1, 1), (1, 0)])
-        assert contour_deletable(arr, (1, 1), 1, "forward") is False
-
-    def test_run_mismatch_raises(self):
-        arr = np.ones((3, 4), bool)
-        with pytest.raises(ValueError):
-            contour_deletable(arr, (1, 1), 1, "forward")  # (1,2) is foreground
-
-    def test_background_pixel_raises(self):
-        with pytest.raises(ValueError):
-            contour_deletable(np.zeros((3, 3), bool), (1, 1), 1, "forward")
-
-    def test_bad_direction(self):
-        arr = from_coords((3, 3), [(1, 1)])
-        with pytest.raises(ValueError):
-            contour_deletable(arr, (1, 1), 1, "sideways")
+        check_subcycle(arr, 1, "f", {(1, 0), (1, 1)})
 
 
 class TestThinSubcycle:
@@ -150,6 +147,24 @@ class TestThinSubcycle:
         arr = np.ones((3, 3), bool)
         assert thin_subcycle(arr, 1, "fb") is True
         assert foreground_coords(arr) == {(0, 1), (1, 1), (2, 1)}
+
+    @pytest.mark.parametrize(
+        "shape, view",
+        [
+            ((6, 9), lambda b: b[:, ::-1]),
+            ((6, 9), lambda b: b.T),
+            ((5, 4, 6), lambda b: b.T),
+        ],
+        ids=["reversed", "fortran-2d", "fortran-3d"],
+    )
+    def test_writes_through_view(self, shape, view):
+        # The caller's array changes in place through a view that is not
+        # C-contiguous.
+        base = random_pattern(shape, 0.6, 4)
+        fg = foreground_coords(view(base))
+        subcycle_oracle(fg, view(base).shape, 1, "fb")
+        assert thin_subcycle(view(base), 1, "fb") is True
+        assert foreground_coords(view(base)) == fg
 
     def test_requires_bool_array(self):
         with pytest.raises(ValueError):
@@ -194,22 +209,52 @@ def random_pattern(shape, density, seed):
     return rng.random(shape) < density
 
 
-class TestThinProperties:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_set_oracle_2d(self, seed):
-        p = random_pattern((14, 14), 0.5, seed)
-        sk, it = thin(p)
-        oracle_fg, oracle_it = thin_oracle(foreground_coords(p), p.shape)
-        assert foreground_coords(sk) == oracle_fg
-        assert it == oracle_it
+def oracle_cases(shape, seeds, extra):
+    """Default-schedule cases by seed, then (shape, schedule) cases at seed 0.
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_set_oracle_3d(self, seed):
-        p = random_pattern((7, 7, 7), 0.4, seed)
-        sk, it = thin(p)
-        oracle_fg, oracle_it = thin_oracle(foreground_coords(p), p.shape)
-        assert foreground_coords(sk) == oracle_fg
-        assert it == oracle_it
+    A schedule of None is the default one.
+    """
+    cases = [pytest.param(shape, None, seed, id=str(seed)) for seed in seeds]
+    for shape, schedule in extra:
+        case_id = "x".join(map(str, shape)) + "-" + (schedule or "default")
+        cases.append(pytest.param(shape, schedule, 0, id=case_id))
+    return cases
+
+
+def check_against_oracle(shape, schedule, density, seed):
+    p = random_pattern(shape, density, seed)
+    sk, it = thin(p, schedule)
+    phases = None if schedule is None else Schedule.parse(schedule).phases
+    oracle_fg, oracle_it = thin_oracle(foreground_coords(p), p.shape, phases)
+    assert foreground_coords(sk) == oracle_fg
+    assert it == oracle_it
+
+
+class TestThinProperties:
+    @pytest.mark.parametrize(
+        "shape, schedule, seed",
+        oracle_cases((14, 14), range(6), [((1, 9), None), ((1, 9), "1b"), ((14, 14), "1b")]),
+    )
+    def test_matches_set_oracle_2d(self, shape, schedule, seed):
+        check_against_oracle(shape, schedule, 0.5, seed)
+
+    # k >= 3, including one 4D pattern.
+    @pytest.mark.parametrize(
+        "shape, schedule, seed",
+        oracle_cases(
+            (7, 7, 7),
+            range(3),
+            [
+                ((6, 1, 5), None),
+                ((6, 1, 5), "2fb;0fb"),
+                ((7, 7, 7), "2fb;0fb"),
+                ((5, 4, 5, 4), None),
+                ((5, 4, 5, 4), "3fb;2f,1b,0fb"),
+            ],
+        ),
+    )
+    def test_matches_set_oracle_3d(self, shape, schedule, seed):
+        check_against_oracle(shape, schedule, 0.4, seed)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_anti_growth_and_termination(self, seed):
