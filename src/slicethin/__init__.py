@@ -9,11 +9,7 @@ from .formats import (
     write_pbm,
 )
 from .metrics import MetricsReport, evaluate, measure_mt, size_ratio
-from .pattern import (
-    as_pattern,
-    component_count,
-    non_unit_width_pixels,
-)
+from .pattern import as_pattern, component_count
 from .shapes import RuggedSpec, ShapeSpec, generate, ruggedize
 from .thinning import (
     Schedule,
@@ -33,7 +29,6 @@ __all__ = [
     "generate",
     "gh_thin",
     "measure_mt",
-    "non_unit_width_pixels",
     "read_ndbin",
     "read_pbm",
     "ruggedize",

@@ -2,17 +2,18 @@
 
 Exit codes: 0 on success, 1 for algorithm/metric errors (e.g. a 2D-only
 baseline applied to a 3D pattern, margin violations), 2 for usage and
-format errors (bad flags, unparseable schedules or files).
+format errors (bad flags, unparseable schedules or files, paths that
+cannot be read or written).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 
 from . import baselines, metrics, shapes, thinning
 from .formats import FormatError, ParseError, read_pattern, write_pattern
-from .pattern import DimensionError
 from .shapes import MarginError, RuggedSpec, ShapeSpec
 from .thinning import Schedule, ScheduleError
 
@@ -56,23 +57,15 @@ def cmd_compare(args) -> int:
             print(report.csv_row(algo))
     if len(args.input) > 1:
         for algo in algos:
-            print(_average_row(algo, reports[algo]))
+            # Column means over the rows that have a value: m_t is None in 3D.
+            columns = zip(*map(astuple, reports[algo]))
+            print(metrics.MetricsReport(*map(_mean, columns)).csv_row(f"{algo}-avg"))
     return 0
 
 
-def _average_row(algo, reports):
-    def mean(values):
-        return sum(values) / len(values)
-
-    mts = [r.m_t for r in reports if r.m_t is not None]
-    mt = f"{mean(mts):.9g}" if mts else "NA"
-    return (
-        f"{algo}-avg,{mean([r.s_r for r in reports]):.9g},{mt},"
-        f"{mean([r.n for r in reports]):.9g},"
-        f"{mean([r.component_delta for r in reports]):.9g},"
-        f"{mean([r.area_input for r in reports]):.9g},"
-        f"{mean([r.area_skeleton for r in reports]):.9g}"
-    )
+def _mean(values):
+    values = [v for v in values if v is not None]
+    return sum(values) / len(values) if values else None
 
 
 def cmd_metrics(args) -> int:
@@ -168,14 +161,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (
-        ParseError,
-        FormatError,
-        ScheduleError,
-        _UsageError,
-        FileNotFoundError,
-        IsADirectoryError,
-    ) as exc:
+    except (ParseError, FormatError, ScheduleError, _UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # DimensionError, MarginError, metric errors, ...

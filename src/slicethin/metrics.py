@@ -9,17 +9,11 @@ serialize it as ``NA``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .pattern import (
-    DimensionError,
-    as_pattern,
-    component_count,
-    foreground_count,
-    non_unit_width_pixels,
-)
+from .pattern import DimensionError, as_pattern, component_count
 
 CSV_HEADER = "algorithm,s_r,m_t,n,component_delta,area_input,area_skeleton"
 
@@ -38,11 +32,12 @@ class MetricsReport:
     area_skeleton: int
 
     def csv_row(self, algorithm: str) -> str:
-        mt = "NA" if self.m_t is None else f"{self.m_t:.9g}"
-        return (
-            f"{algorithm},{self.s_r:.9g},{mt},{self.n},"
-            f"{self.component_delta},{self.area_input},{self.area_skeleton}"
+        """One CSV row: floats to 9 significant digits, ints as is, None as NA."""
+        cells = (
+            "NA" if v is None else f"{v:.9g}" if isinstance(v, float) else str(v)
+            for v in astuple(self)
         )
+        return ",".join((algorithm, *cells))
 
 
 def measure_mt(skeleton) -> float:
@@ -50,10 +45,13 @@ def measure_mt(skeleton) -> float:
     arr = as_pattern(skeleton)
     if arr.ndim != 2:
         raise DimensionError("measure_mt is defined for 2D skeletons only")
-    area = foreground_count(arr)
+    area = np.count_nonzero(arr)
     if area == 0:
         raise UndefinedMetricError("measure_mt is undefined for an empty skeleton")
-    return 1.0 - len(non_unit_width_pixels(arr)) / area
+    # Pixels covered by at least one all-foreground 2x2 window.
+    blocks = np.pad(arr[:-1, :-1] & arr[1:, :-1] & arr[:-1, 1:] & arr[1:, 1:], 1)
+    covered = blocks[:-1, :-1] | blocks[1:, :-1] | blocks[:-1, 1:] | blocks[1:, 1:]
+    return float(1 - np.count_nonzero(covered) / area)
 
 
 def size_ratio(input_pattern, skeleton) -> float:
@@ -62,10 +60,10 @@ def size_ratio(input_pattern, skeleton) -> float:
     sk = as_pattern(skeleton)
     if inp.shape != sk.shape:
         raise ValueError(f"shape mismatch: {inp.shape} vs {sk.shape}")
-    area_in = foreground_count(inp)
+    area_in = np.count_nonzero(inp)
     if area_in == 0:
         raise UndefinedMetricError("size_ratio is undefined for an empty input")
-    return foreground_count(sk) / area_in
+    return float(np.count_nonzero(sk) / area_in)
 
 
 def evaluate(input_pattern, skeleton, iterations: int) -> MetricsReport:
@@ -84,6 +82,6 @@ def evaluate(input_pattern, skeleton, iterations: int) -> MetricsReport:
         m_t=m_t,
         n=int(iterations),
         component_delta=component_count(sk) - component_count(inp),
-        area_input=foreground_count(inp),
-        area_skeleton=foreground_count(sk),
+        area_input=int(np.count_nonzero(inp)),
+        area_skeleton=int(np.count_nonzero(sk)),
     )

@@ -129,6 +129,8 @@ def thin_subcycle(pattern: np.ndarray, axis: int, directions: str = "fb") -> boo
         raise ValueError("thin_subcycle requires a mutable bool pattern array")
     if not 0 <= axis < arr.ndim:
         raise ValueError(f"axis {axis} out of range")
+    if directions not in ("f", "b", "fb"):
+        raise ValueError(f"directions must be 'f', 'b' or 'fb', got {directions!r}")
     shape = tuple(n + 2 for n in arr.shape)
     buf = bytearray(prod(shape))
     view = np.frombuffer(buf, bool).reshape(shape)

@@ -59,12 +59,15 @@ class TestThinCommand:
         )
         assert code == 2
 
-    def test_missing_input(self, tmp_path):
-        code = main(
-            ["thin", "--algo", "nd", "--input", str(tmp_path / "no.pbm"),
-             "--output", str(tmp_path / "o.pbm")]
-        )
-        assert code == 2
+    def test_missing_input(self, square7, tmp_path, capsys):
+        # A missing file, and a regular file used as a directory on either side.
+        for src, dst in [
+            (tmp_path / "no.pbm", tmp_path / "o.pbm"),
+            (square7 / "x.pbm", tmp_path / "o.pbm"),
+            (square7, square7 / "o.pbm"),
+        ]:
+            assert main(["thin", "--algo", "nd", "--input", str(src), "--output", str(dst)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_corrupt_input(self, tmp_path):
         bad = tmp_path / "bad.pbm"
@@ -114,6 +117,12 @@ class TestCompareCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4  # header + 2 rows + average
         assert lines[-1].startswith("zs-avg,")
+
+    def test_average_over_2d_and_3d(self, square7, cube, capsys):
+        # m_t is averaged over the 2D rows only; the counts are float means.
+        assert main(["compare", "--input", str(square7), str(cube), "--algos", "nd"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-1] == "nd-avg,0.0426122449,1,3.5,0,87,3"
 
     def test_zero_inputs_is_usage_error(self):
         assert main(["compare", "--input"]) == 2

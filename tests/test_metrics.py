@@ -10,6 +10,8 @@ from slicethin.metrics import (
 )
 from slicethin.pattern import DimensionError
 
+from oracles import nuw_oracle
+
 
 def random_pattern(shape, density, seed):
     rng = np.random.default_rng(seed)
@@ -27,6 +29,21 @@ class TestMeasureMt:
         arr[1:3, 1:3] = True
         assert measure_mt(arr) == 0.0
 
+    def test_2x2_block_covered(self):
+        # The four block pixels are covered; the 4-pixel tail is not.
+        arr = np.zeros((4, 8), bool)
+        arr[1:3, 1:3] = True
+        arr[1, 3:7] = True
+        assert measure_mt(arr) == 1 - 4 / 8
+
+    def test_3x3_block_all_covered(self):
+        # The four 2x2 windows cover all 9 block pixels, each counted once;
+        # the 3-pixel tail is not covered.
+        arr = np.zeros((5, 8), bool)
+        arr[1:4, 1:4] = True
+        arr[2, 4:7] = True
+        assert measure_mt(arr) == 1 - 9 / 12
+
     def test_ring_is_one(self):
         # 3x3 block minus its center has no all-foreground 2x2 window.
         arr = np.zeros((5, 5), bool)
@@ -41,6 +58,12 @@ class TestMeasureMt:
     def test_3d_raises(self):
         with pytest.raises(DimensionError):
             measure_mt(np.ones((3, 3, 3), bool))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_window_scan_oracle(self, seed):
+        p = random_pattern((9, 9), 0.6, seed)
+        fg = {tuple(map(int, c)) for c in np.argwhere(p)}
+        assert measure_mt(p) == 1 - len(nuw_oracle(fg, p.shape)) / len(fg)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_invariant_under_symmetries(self, seed):

@@ -3,16 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
-from slicethin.pattern import (
-    DimensionError,
-    as_pattern,
-    component_count,
-    foreground_count,
-    non_unit_width_pixels,
-)
+from slicethin.pattern import DimensionError, as_pattern, component_count
 from slicethin.thinning import thin_subcycle
 
-from oracles import ball, components_oracle, foreground_coords, nuw_oracle, subcycle_oracle
+from oracles import ball, components_oracle, foreground_coords, subcycle_oracle
 
 
 def random_pattern(shape, density, seed):
@@ -107,39 +101,3 @@ class TestConnectedComponents:
         base = component_count(p)
         for axis in range(p.ndim):
             assert component_count(np.flip(p, axis)) == base
-
-
-class TestNonUnitWidthPixels:
-    def test_2x2_block(self):
-        p = np.zeros((4, 4), bool)
-        p[1:3, 1:3] = True
-        assert non_unit_width_pixels(p) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-
-    def test_thin_line_has_none(self):
-        p = np.zeros((3, 11), bool)
-        p[1, 1:10] = True
-        assert non_unit_width_pixels(p) == set()
-
-    def test_3x3_block_all_covered(self):
-        # Brute-force enumeration of the four 2x2 windows covers all 9 pixels.
-        p = np.zeros((5, 5), bool)
-        p[1:4, 1:4] = True
-        expected = {(x, y) for x in range(1, 4) for y in range(1, 4)}
-        assert non_unit_width_pixels(p) == expected
-
-    def test_rejects_3d(self):
-        with pytest.raises(DimensionError):
-            non_unit_width_pixels(np.zeros((3, 3, 3), bool))
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_window_scan_oracle(self, seed):
-        p = random_pattern((9, 9), 0.6, seed)
-        fg = {tuple(map(int, c)) for c in np.argwhere(p)}
-        result = non_unit_width_pixels(p)
-        assert result == nuw_oracle(fg, p.shape)
-        assert result <= fg
-
-    def test_foreground_count(self):
-        p = np.zeros((3, 3), bool)
-        p[0, 0] = p[2, 2] = True
-        assert foreground_count(p) == 2

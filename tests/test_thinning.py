@@ -169,6 +169,10 @@ class TestThinSubcycle:
     def test_requires_bool_array(self):
         with pytest.raises(ValueError):
             thin_subcycle(np.ones((3, 3), np.uint8), 1)
+        # Only "f", "b" and "fb" are directions.
+        for directions in ("sideways", "", "bf"):
+            with pytest.raises(ValueError):
+                thin_subcycle(np.ones((3, 3), bool), 1, directions)
 
 
 class TestThin:
