@@ -14,6 +14,7 @@ from dataclasses import astuple
 
 from . import baselines, metrics, shapes, thinning
 from .formats import FormatError, ParseError, read_pattern, write_pattern
+from .pattern import DimensionError
 from .shapes import MarginError, RuggedSpec, ShapeSpec
 from .thinning import Schedule, ScheduleError
 
@@ -46,10 +47,13 @@ def cmd_compare(args) -> int:
     for algo in algos:
         if algo not in ALGORITHMS:
             raise ScheduleError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+    # Read and check every input before the header, so an error prints no rows.
+    patterns = [read_pattern(path, args.input_format) for path in args.input]
+    if set(algos) - {"nd"} and any(p.ndim != 2 for p in patterns):
+        raise DimensionError("baseline thinning supports 2D patterns only")
     print(metrics.CSV_HEADER)
     reports = {algo: [] for algo in algos}
-    for path in args.input:
-        pattern = read_pattern(path, args.input_format)
+    for pattern in patterns:
         for algo in algos:
             skeleton, iterations = _run_algorithm(algo, pattern)
             report = metrics.evaluate(pattern, skeleton, iterations)

@@ -4,18 +4,18 @@ PBM follows the netpbm convention: magic ``P1``, ``width height`` header,
 ``1`` = black = foreground; pattern axis 0 is the row, axis 1 the column.
 NDBIN is a plain-text container: ``NDBIN\\n<k>\\n<N_1> ... <N_k>\\n``
 followed by the cells as whitespace-separated bits in row-major order.
+Both formats share one token grammar, stated in the README ("File formats").
 """
 
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 
-from .pattern import as_pattern
-
-_MAX_CELLS = 10**8
+from .pattern import _MAX_CELLS, as_pattern
 
 
 class FormatError(ValueError):
@@ -30,33 +30,23 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-def _tokens(data: bytes):
-    """Yield (token, offset) pairs, skipping whitespace and # comments."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-        else:
-            start = i
-            while i < n and not data[i : i + 1].isspace() and data[i : i + 1] != b"#":
-                i += 1
-            yield data[start:i], start
+_WS = b" \t\n\r\v\f"  # ASCII whitespace, as bytes.isspace() defines it
+# Skip whitespace and comments, then capture one token, empty at the end of the
+# data. So a match never fails and never backtracks a token into a comment.
+_TOKEN = re.compile(rb"(?:[%s]+|#[^\n]*)*([^%s#]*)" % (_WS, _WS))
+_BLANK = np.isin(np.arange(256), list(_WS))
 
 
-def _next_token(tokens, data, what):
-    try:
-        return next(tokens)
-    except StopIteration:
-        raise ParseError(f"truncated file: missing {what}", len(data)) from None
+def _next_token(data, pos, what):
+    """The next token after ``pos``, its offset and the offset just past it."""
+    m = _TOKEN.match(data, pos)
+    if not m.group(1):
+        raise ParseError(f"truncated file: missing {what}", len(data))
+    return m.group(1), m.start(1), m.end(1)
 
 
-def _next_int(tokens, data, what, minimum=1):
-    tok, off = _next_token(tokens, data, what)
+def _next_int(data, pos, what, minimum=1):
+    tok, off, end = _next_token(data, pos, what)
     # ASCII digits only: int() would also take '1_0' and '+5'.
     if not tok.isdigit():
         raise ParseError(f"bad {what} {tok!r}", off)
@@ -66,35 +56,69 @@ def _next_int(tokens, data, what, minimum=1):
         raise ParseError(f"bad {what} {tok!r}", off) from None
     if value < minimum:
         raise ParseError(f"{what} must be >= {minimum}, got {value}", off)
-    return value
+    return value, end
+
+
+def _read(data: bytes, magic: bytes) -> np.ndarray:
+    tok, off, pos = _next_token(data, 0, "magic")
+    if tok != magic:
+        raise ParseError(f"unsupported magic {tok!r} (expected {magic!r})", off)
+    names = ("width", "height")
+    if magic == b"NDBIN":
+        k, pos = _next_int(data, pos, "dimension count", minimum=2)
+        names = (f"size of dimension {i}" for i in range(k))
+    sizes = []
+    for what in names:
+        size, pos = _next_int(data, pos, what)
+        sizes.append(size)
+    total = math.prod(sizes)  # a Python int: np.prod can wrap to 0
+    if total > _MAX_CELLS:
+        raise ParseError(f"dimension overflow: {'x'.join(map(str, sizes))}", 0)
+    bits = _payload(data, pos, total, packed=magic == b"P1")
+    return bits.reshape(sizes[::-1] if magic == b"P1" else sizes)
+
+
+def _payload(data, pos, total, packed):
+    """Decode the ``total`` bits after ``pos``; PBM bits may be packed (``1011``)."""
+    # Blank comments out byte for byte, so an index into buf stays an offset,
+    # and add a blank at the end, so that every byte is followed by another.
+    text = re.sub(rb"#[^\n]*", lambda m: b" " * len(m.group()), data[pos:]) + b" "
+    buf = np.frombuffer(text, np.uint8)
+    filled = ~_BLANK[buf]
+    # Each filled byte must be a bit; in NDBIN also a whole token, so the byte
+    # after it must be blank. The first byte that fails starts the first token
+    # that fails. Checking up to the first excess bit lets an invalid one win.
+    at = np.flatnonzero(filled)
+    count, at = len(at), at[: total + 1]
+    bits = buf[at] - np.uint8(ord("0"))  # wraps past 1 for any other byte
+    invalid = np.flatnonzero((bits > 1) | (filled[at + 1] & (not packed)))
+    if invalid.size:
+        i = at[invalid[0]]
+        raise ParseError(f"invalid bit in {text[i:].split(None, 1)[0]!r}", pos + int(i))
+    if count > total:
+        raise ParseError(f"more than the {total} bits declared", pos + int(at[total]))
+    if count < total:
+        raise ParseError(f"truncated data: got {count} of {total} bits", len(data))
+    return bits.astype(bool)
+
+
+def _body(arr) -> bytes:
+    """The cells as '0'/'1' separated by spaces, one last-axis line per row."""
+    rows = arr.reshape(-1, arr.shape[-1])
+    out = np.full((rows.shape[0], 2 * rows.shape[1]), ord(" "), np.uint8)
+    out[:, ::2] = rows + ord("0")
+    out[:, -1] = ord("\n")
+    return out.tobytes()
 
 
 def read_pbm(data: bytes) -> np.ndarray:
     """Parse a plain (ASCII) PBM image into a 2D bool pattern."""
-    tokens = _tokens(data)
-    magic, off = _next_token(tokens, data, "magic")
-    if magic != b"P1":
-        raise ParseError(f"unsupported magic {magic!r} (plain PBM 'P1' only)", off)
-    width = _next_int(tokens, data, "width")
-    height = _next_int(tokens, data, "height")
-    if width * height > _MAX_CELLS:
-        raise ParseError(f"dimension overflow: {width}x{height}", 0)
-    bits = []
-    need = width * height
-    for tok, off in tokens:
-        # Plain PBM allows bits to be packed without separators.
-        for j, ch in enumerate(tok):
-            if ch == 0x30:
-                bits.append(0)
-            elif ch == 0x31:
-                bits.append(1)
-            else:
-                raise ParseError(f"invalid bit character {chr(ch)!r}", off + j)
-            if len(bits) > need:
-                raise ParseError(f"extra data after {need} bits", off + j)
-    if len(bits) < need:
-        raise ParseError(f"truncated data: got {len(bits)} of {need} bits", len(data))
-    return np.array(bits, dtype=bool).reshape(height, width)
+    return _read(data, b"P1")
+
+
+def read_ndbin(data: bytes) -> np.ndarray:
+    """Parse an NDBIN file into a k-dimensional bool pattern."""
+    return _read(data, b"NDBIN")
 
 
 def write_pbm(pattern) -> bytes:
@@ -103,47 +127,13 @@ def write_pbm(pattern) -> bytes:
     if arr.ndim != 2:
         raise ValueError("PBM holds 2D patterns only")
     h, w = arr.shape
-    lines = [f"P1\n{w} {h}\n"]
-    for row in arr.astype(np.uint8):
-        lines.append(" ".join(map(str, row)) + "\n")
-    return "".join(lines).encode("ascii")
-
-
-def read_ndbin(data: bytes) -> np.ndarray:
-    """Parse an NDBIN file into a k-dimensional bool pattern."""
-    tokens = _tokens(data)
-    magic, off = _next_token(tokens, data, "magic")
-    if magic != b"NDBIN":
-        raise ParseError(f"unsupported magic {magic!r} (expected 'NDBIN')", off)
-    k = _next_int(tokens, data, "dimension count", minimum=2)
-    shape = tuple(_next_int(tokens, data, f"size of dimension {i}") for i in range(k))
-    total = math.prod(shape)  # a Python int: np.prod can wrap to 0
-    if total > _MAX_CELLS:
-        raise ParseError(f"dimension overflow: {'x'.join(map(str, shape))}", 0)
-    bits = []
-    for tok, off in tokens:
-        if tok == b"0":
-            bits.append(0)
-        elif tok == b"1":
-            bits.append(1)
-        else:
-            raise ParseError(f"invalid bit token {tok!r}", off)
-        if len(bits) > total:
-            raise ParseError(f"payload exceeds the {total} cells declared", off)
-    if len(bits) != total:
-        raise ParseError(
-            f"payload has {len(bits)} cells but header declares {total}", len(data)
-        )
-    return np.array(bits, dtype=bool).reshape(shape)
+    return f"P1\n{w} {h}\n".encode() + _body(arr)
 
 
 def write_ndbin(pattern) -> bytes:
     """Serialize a pattern as NDBIN, one last-axis stride per line."""
     arr = as_pattern(pattern)
-    header = f"NDBIN\n{arr.ndim}\n{' '.join(map(str, arr.shape))}\n"
-    rows = arr.astype(np.uint8).reshape(-1, arr.shape[-1])
-    body = "".join(" ".join(map(str, row)) + "\n" for row in rows)
-    return (header + body).encode("ascii")
+    return f"NDBIN\n{arr.ndim}\n{' '.join(map(str, arr.shape))}\n".encode() + _body(arr)
 
 
 def export_voxels_csv(pattern) -> bytes:

@@ -10,6 +10,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
+# The most cells a pattern may have when read from a file or generated.
+_MAX_CELLS = 10**8
+
 
 class DimensionError(ValueError):
     """The pattern's dimensionality is not supported by the operation."""

@@ -12,12 +12,13 @@ axis (axis 2, "z"); their cross-sections live in the first two axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
-from .pattern import as_pattern
+from .pattern import _MAX_CELLS, as_pattern
 
 
 class MarginError(ValueError):
@@ -76,6 +77,8 @@ def generate(spec: ShapeSpec) -> np.ndarray:
     grid = tuple(int(n) for n in spec.grid)
     if any(n < 1 for n in grid):
         raise ValueError("grid dimensions must be positive")
+    if math.prod(grid) > _MAX_CELLS:  # checked before _centered allocates the grid
+        raise ValueError(f"grid has more than {_MAX_CELLS} cells")
     ndim = 2 if spec.kind in KINDS_2D else 3 if spec.kind in KINDS_3D else None
     if ndim is None:
         raise ValueError(f"unknown shape kind {spec.kind!r}")

@@ -4,9 +4,12 @@ Everything here is deliberately written against coordinate sets and scalar
 scans, not against the numpy implementations under test.
 """
 
+import math
 from itertools import product
 
 import numpy as np
+
+from slicethin.formats import ParseError
 
 
 def foreground_coords(arr):
@@ -177,3 +180,100 @@ def zs_oracle(fg, shape):
 
 def gh_oracle(fg, shape):
     return _mark_sweep_oracle(fg, gh_deletable_oracle)
+
+
+# ---------------------------------------------------------------- file formats
+# The byte-at-a-time tokenizer readers the numpy codec in slicethin.formats
+# replaced: same arrays, same ParseError offsets.
+
+MAX_CELLS = 10**8
+
+
+def _tokens(data):
+    """Yield (token, offset) pairs, skipping whitespace and # comments."""
+    i = 0
+    n = len(data)
+    while i < n:
+        c = data[i : i + 1]
+        if c.isspace():
+            i += 1
+        elif c == b"#":
+            while i < n and data[i : i + 1] != b"\n":
+                i += 1
+        else:
+            start = i
+            while i < n and not data[i : i + 1].isspace() and data[i : i + 1] != b"#":
+                i += 1
+            yield data[start:i], start
+
+
+def _next_token(tokens, data, what):
+    try:
+        return next(tokens)
+    except StopIteration:
+        raise ParseError(f"truncated file: missing {what}", len(data)) from None
+
+
+def _next_int(tokens, data, what, minimum=1):
+    tok, off = _next_token(tokens, data, what)
+    if not tok.isdigit():
+        raise ParseError(f"bad {what} {tok!r}", off)
+    try:
+        value = int(tok)
+    except ValueError:
+        raise ParseError(f"bad {what} {tok!r}", off) from None
+    if value < minimum:
+        raise ParseError(f"{what} must be >= {minimum}, got {value}", off)
+    return value
+
+
+def pbm_oracle(data):
+    tokens = _tokens(data)
+    magic, off = _next_token(tokens, data, "magic")
+    if magic != b"P1":
+        raise ParseError(f"unsupported magic {magic!r}", off)
+    width = _next_int(tokens, data, "width")
+    height = _next_int(tokens, data, "height")
+    if width * height > MAX_CELLS:
+        raise ParseError(f"dimension overflow: {width}x{height}", 0)
+    bits = []
+    need = width * height
+    for tok, off in tokens:
+        # Bits may be packed without separators.
+        for j, ch in enumerate(tok):
+            if ch == 0x30:
+                bits.append(0)
+            elif ch == 0x31:
+                bits.append(1)
+            else:
+                raise ParseError(f"invalid bit character {chr(ch)!r}", off + j)
+            if len(bits) > need:
+                raise ParseError(f"extra data after {need} bits", off + j)
+    if len(bits) < need:
+        raise ParseError(f"truncated data: got {len(bits)} of {need} bits", len(data))
+    return np.array(bits, dtype=bool).reshape(height, width)
+
+
+def ndbin_oracle(data):
+    tokens = _tokens(data)
+    magic, off = _next_token(tokens, data, "magic")
+    if magic != b"NDBIN":
+        raise ParseError(f"unsupported magic {magic!r}", off)
+    k = _next_int(tokens, data, "dimension count", minimum=2)
+    shape = tuple(_next_int(tokens, data, f"size of dimension {i}") for i in range(k))
+    total = math.prod(shape)
+    if total > MAX_CELLS:
+        raise ParseError(f"dimension overflow: {shape}", 0)
+    bits = []
+    for tok, off in tokens:
+        if tok == b"0":
+            bits.append(0)
+        elif tok == b"1":
+            bits.append(1)
+        else:
+            raise ParseError(f"invalid bit token {tok!r}", off)
+        if len(bits) > total:
+            raise ParseError(f"payload exceeds the {total} cells declared", off)
+    if len(bits) != total:
+        raise ParseError(f"payload has {len(bits)} cells but header declares {total}", len(data))
+    return np.array(bits, dtype=bool).reshape(shape)

@@ -1,8 +1,16 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
+from hypothesis.extra import numpy as hnp
 
 from slicethin.cli import main
-from slicethin.formats import read_pattern, write_pattern
+from slicethin.formats import read_pattern, write_ndbin, write_pbm, write_pattern
 from slicethin.metrics import CSV_HEADER
 
 
@@ -124,6 +132,14 @@ class TestCompareCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[-1] == "nd-avg,0.0426122449,1,3.5,0,87,3"
 
+    def test_baseline_on_3d_prints_no_table(self, square7, cube, capsys):
+        # Every input is checked before the header, so no partial table.
+        code = main(["compare", "--input", str(square7), str(cube), "--algos", "nd,zs"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_zero_inputs_is_usage_error(self):
         assert main(["compare", "--input"]) == 2
 
@@ -183,7 +199,97 @@ class TestGenCommand:
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_oversized_grid_is_usage_error(self, tmp_path, capsys):
+        # 4e8 cells: rejected before the grid is allocated.
+        code = main(["gen", "--shape", "square", "--side", "3",
+                     "--grid", "20000x20000", "--output", str(tmp_path / "s.pbm")])
+        assert code == 2
+        assert "more than" in capsys.readouterr().err
+
     def test_unknown_shape_is_usage_error(self, tmp_path):
         code = main(["gen", "--shape", "blob", "--grid", "7x7",
                      "--output", str(tmp_path / "s.pbm")])
         assert code == 2
+
+
+# ---------------------------------------------------------------- fuzzing
+
+_PIECES = (b"0", b"1", b"10", b" ", b"\n", b"\t", b"#", b"#c\n", b"\xa0", b"x", b"2", b"9")
+
+
+@hyp.composite
+def _file_bytes(draw, pbm):
+    """A valid file, a mutated one, or random bytes after a plausible header."""
+    kind = draw(hyp.sampled_from(["valid", "mutated", "random"]))
+    if kind == "random":
+        head = draw(hyp.sampled_from([b"", b"P1 ", b"NDBIN ", b"P1 3 3 ", b"NDBIN 3 2 2 2 "]))
+        return head + b"".join(draw(hyp.lists(hyp.sampled_from(_PIECES), max_size=12)))
+    shapes = hnp.array_shapes(min_dims=2, max_dims=2 if pbm else 3, max_side=5)
+    arr = draw(hnp.arrays(bool, shapes))
+    data = write_pbm(arr) if pbm else write_ndbin(arr)
+    if kind == "mutated":
+        at = draw(hyp.integers(0, len(data)))
+        cut = draw(hyp.integers(0, 2))
+        data = data[:at] + draw(hyp.sampled_from(_PIECES)) + data[at + cut :]
+    return data
+
+
+_NAMES = ("a.pbm", "b.ndbin", "c.pbm", "d.dat")
+_OUTS = ("o.pbm", "o.ndbin", "o.dat")
+_GEN = (
+    ("--shape", "square", "--side", "3", "--grid", "7x7"),
+    ("--shape", "disc", "--radius", "2.5", "--grid", "9x9"),
+    ("--shape", "triangle", "--base", "5", "--height", "3", "--grid", "9x9"),
+    ("--shape", "sphere", "--radius", "1", "--grid", "5x5x5"),
+)
+_NOISE = ("--nope", "--help", "--input", "--metrics", "3", "x", "thin", "")
+
+
+@hyp.composite
+def _argv(draw):
+    """One command with good and bad values, then a few stray words."""
+    def pick(*options):
+        return draw(hyp.sampled_from(options))
+
+    def maybe(*words):
+        return list(words) if draw(hyp.booleans()) else []
+
+    command = pick("thin", "compare", "metrics", "gen")
+    if command == "thin":
+        argv = ["thin", "--algo", pick("nd", "zs", "gh"), "--input", pick(*_NAMES),
+                "--output", pick(*_OUTS), *maybe("--schedule", pick("1fb", "0f;1b", "2fb", "x")),
+                *maybe("--metrics")]
+    elif command == "compare":
+        inputs = draw(hyp.lists(hyp.sampled_from(_NAMES), min_size=1, max_size=3))
+        argv = ["compare", "--input", *inputs,
+                *maybe("--algos", pick("nd", "zs,gh", "nd,zs", "xx"))]
+    elif command == "metrics":
+        argv = ["metrics", "--input", pick(*_NAMES), "--skeleton", pick(*_NAMES),
+                *maybe("--iterations", pick("3", "-3", "x"))]
+    else:  # a repeated flag overrides the valid one before it
+        argv = ["gen", *pick(*_GEN),
+                *maybe(pick("--side", "--radius", "--grid", "--shape"),
+                       pick("3", "0", "-1", "nan", "inf", "x", "0x3", "7x7", "blob")),
+                *maybe("--rugged", pick("0.5", "2", "nan"), "--seed", pick("3", "-1")),
+                "--output", pick(*_OUTS)]
+    argv += maybe(pick("--input-format", "--output-format"), pick("pbm", "ndbin"))
+    for _ in range(draw(hyp.integers(0, 2))):
+        argv.insert(draw(hyp.integers(0, len(argv))), pick(*_NOISE))
+    return argv
+
+
+class TestCliFuzz:
+    @given(hyp.tuples(*(_file_bytes(name.endswith(".pbm")) for name in _NAMES)), _argv())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_code_and_no_traceback(self, files, argv):
+        """Commands over random and mutated files, plus bad flags, exit 0, 1 or 2
+        and never print a traceback."""
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in zip(_NAMES, files):
+                Path(tmp, name).write_bytes(data)
+            argv = [str(Path(tmp, w)) if w in _NAMES + _OUTS else w for w in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
+from oracles import ndbin_oracle, pbm_oracle
 from slicethin.cli import main
 from slicethin.formats import (
     FormatError,
@@ -42,12 +43,17 @@ class TestPbm:
         assert exc.value.offset == len(b"P1\n2 2\n1 1\n1\n")
 
     def test_extra_bits(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             read_pbm(b"P1\n2 2\n1 1 1 1 1\n")
+        assert exc.value.offset == 15  # the fifth bit
+        # A comment ends the token it touches: four bits, none extra.
+        arr = read_pbm(b"P1 2 2 10#c\n11")
+        assert arr.tolist() == [[True, False], [True, True]]
 
     def test_bad_bit_char(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             read_pbm(b"P1\n2 2\n1 1\n1 x\n")
+        assert exc.value.offset == 13
 
     def test_bad_dimension(self):
         # Sizes are ASCII decimal digits: int() alone would take 1_0 and +5.
@@ -88,20 +94,28 @@ class TestNdbin:
         assert data == b"NDBIN\n3\n2 2 2\n1 1\n1 1\n1 1\n1 1\n"
 
     def test_count_mismatch_short(self):
-        with pytest.raises(ParseError):
-            read_ndbin(b"NDBIN\n2\n2 2\n1 0 1\n")
+        raw = b"NDBIN\n2\n2 2\n1 0 1\n"
+        with pytest.raises(ParseError) as exc:
+            read_ndbin(raw)
+        assert exc.value.offset == len(raw)
+        # A comment ends the token it touches: two bits, none missing.
+        assert read_ndbin(b"NDBIN 2 1 2 1#c\n0").tolist() == [[True, False]]
 
     def test_count_mismatch_long(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             read_ndbin(b"NDBIN\n2\n2 2\n1 0 1 0 1\n")
+        assert exc.value.offset == 20  # the fifth bit
 
     def test_bad_magic(self):
         with pytest.raises(ParseError):
             read_ndbin(b"NDBIM\n2\n2 2\n1 0 1 0\n")
 
     def test_bad_bit_token(self):
-        with pytest.raises(ParseError):
-            read_ndbin(b"NDBIN\n2\n1 2\n1 2\n")
+        # One bit per token: '10' is rejected at its first byte.
+        for raw, offset in ((b"NDBIN\n2\n1 2\n1 2\n", 14), (b"NDBIN 2 1 2 10 1", 12)):
+            with pytest.raises(ParseError) as exc:
+                read_ndbin(raw)
+            assert exc.value.offset == offset
 
     def test_bad_size_token(self):
         with pytest.raises(ParseError) as exc:
@@ -126,6 +140,58 @@ class TestNdbin:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_random(self, arr):
         assert np.array_equal(read_ndbin(write_ndbin(arr)), arr)
+
+
+_PIECES = (
+    b"0", b"1", b"10", b"01", b" ", b"\n", b"\t", b"\r", b"\v", b"\f", b"\x1c", b"\xa0",
+    b"#", b"#c\n", b"#1 0", b"x", b"2", b"9", b"P1", b"NDBIN",
+)
+
+
+def _outcome(read, data):
+    """The array read, or the type and offset of the error raised."""
+    try:
+        return read(data)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "offset", None)
+
+
+def _assert_same_as_tokenizer(data):
+    for read, oracle in ((read_pbm, pbm_oracle), (read_ndbin, ndbin_oracle)):
+        got, want = _outcome(read, data), _outcome(oracle, data)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and got.shape == want.shape
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
+
+
+class TestMatchesTokenizer:
+    """The numpy codec against the byte-at-a-time tokenizer readers."""
+
+    @given(
+        hyp.sampled_from([b"", b"P1 ", b"NDBIN ", b"P1 2 2", b"NDBIN 2 1 3", b"NDBIN 3 1 2 1 "]),
+        hyp.lists(hyp.sampled_from(_PIECES) | hyp.binary(max_size=3), max_size=14),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_bytes(self, head, pieces):
+        _assert_same_as_tokenizer(head + b"".join(pieces))
+
+    @given(
+        hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=3, max_side=5)),
+        hyp.booleans(),
+        hyp.lists(
+            hyp.tuples(hyp.integers(0, 10**4), hyp.integers(0, 3), hyp.sampled_from(_PIECES)),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_files(self, arr, pbm, edits):
+        data = write_pbm(arr) if pbm and arr.ndim == 2 else write_ndbin(arr)
+        for at, cut, piece in edits:
+            at %= len(data) + 1
+            data = data[:at] + piece + data[at + cut :]
+        _assert_same_as_tokenizer(data)
 
 
 class TestVoxelsCsv:

@@ -61,6 +61,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(spec("sphere", (7, 7), radius=2))
 
+    def test_oversized_grid(self):
+        # The file readers' cell cap, checked before any array is allocated.
+        with pytest.raises(ValueError, match="more than"):
+            generate(spec("square", (20000, 20000), side=3))
+
     def test_empty_solid(self):
         with pytest.raises(ValueError):
             generate(spec("hyperboloid-two-sheet", (9, 9, 9), radius=1, slope=10, height=3))
