@@ -1,4 +1,4 @@
-"""Bit-exact pattern file formats: plain PBM (2D) and NDBIN (any k >= 2).
+"""Bit-exact pattern file formats: plain PBM (2D) and NDBIN (k = 2..8).
 
 PBM follows the netpbm convention: magic ``P1``, ``width height`` header,
 ``1`` = black = foreground; pattern axis 0 is the row, axis 1 the column.
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pattern import _MAX_CELLS, as_pattern
+from .pattern import _MAX_CELLS, _MAX_DIMS, as_pattern
 
 
 class FormatError(ValueError):
@@ -45,7 +45,7 @@ def _next_token(data, pos, what):
     return m.group(1), m.start(1), m.end(1)
 
 
-def _next_int(data, pos, what, minimum=1):
+def _next_int(data, pos, what, minimum=1, maximum=None):
     tok, off, end = _next_token(data, pos, what)
     # ASCII digits only: int() would also take '1_0' and '+5'.
     if not tok.isdigit():
@@ -56,6 +56,8 @@ def _next_int(data, pos, what, minimum=1):
         raise ParseError(f"bad {what} {tok!r}", off) from None
     if value < minimum:
         raise ParseError(f"{what} must be >= {minimum}, got {value}", off)
+    if maximum is not None and value > maximum:
+        raise ParseError(f"{what} must be <= {maximum}, got {value}", off)
     return value, end
 
 
@@ -65,7 +67,7 @@ def _read(data: bytes, magic: bytes) -> np.ndarray:
         raise ParseError(f"unsupported magic {tok!r} (expected {magic!r})", off)
     names = ("width", "height")
     if magic == b"NDBIN":
-        k, pos = _next_int(data, pos, "dimension count", minimum=2)
+        k, pos = _next_int(data, pos, "dimension count", minimum=2, maximum=_MAX_DIMS)
         names = (f"size of dimension {i}" for i in range(k))
     sizes = []
     for what in names:

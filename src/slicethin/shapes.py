@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .pattern import _MAX_CELLS, as_pattern
 
@@ -154,8 +153,14 @@ def ruggedize(pattern, spec: RuggedSpec) -> np.ndarray:
     if not 0.0 <= spec.probability <= 1.0:
         raise ValueError("probability must be in [0, 1]")
     arr = as_pattern(pattern).copy()
-    structure = ndimage.generate_binary_structure(arr.ndim, 1)
-    interior = ndimage.binary_erosion(arr, structure=structure, border_value=0)
+    # A cell is interior when it and its 2k face-neighbours are foreground.
+    padded = np.pad(arr, 1)
+    interior = arr.copy()
+    for axis, n in enumerate(arr.shape):
+        for lo in (0, 2):
+            index = [slice(1, -1)] * arr.ndim
+            index[axis] = slice(lo, lo + n)
+            interior &= padded[tuple(index)]
     boundary = np.argwhere(arr & ~interior)  # lexicographic order
     rng = np.random.default_rng(spec.seed)
     drop = boundary[rng.random(len(boundary)) < spec.probability]

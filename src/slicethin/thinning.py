@@ -4,7 +4,9 @@ Each iteration runs one deletion sub-cycle per scheduled axis. A sub-cycle
 walks every 1xN slice along its axis, finds the maximal foreground runs, and
 tests the run extremes (the front pixel with the highest index and the back
 pixel with the lowest) for deletability. Deletions are applied immediately,
-so later tests within the same pass see them.
+so later tests within the same pass see them. The runs are found in one
+numpy pass first: a deletion removes an extreme of the run under test, so no
+run changes before the scan reaches it.
 """
 
 from __future__ import annotations
@@ -122,7 +124,9 @@ def thin_subcycle(pattern: np.ndarray, axis: int, directions: str = "fb") -> boo
 
     The scan works on a flat byte copy padded by one background cell on
     every face, so every neighbour of a cell has a fixed flat offset and
-    the padding ends every run.
+    the padding ends every run. Every run's back and front cell are listed
+    before the first test, which is exact because a deletion removes an
+    extreme of the run under test; the tests read the live buffer.
     """
     arr = pattern
     if arr.dtype != bool or arr.ndim < 2:
@@ -139,34 +143,27 @@ def thin_subcycle(pattern: np.ndarray, axis: int, directions: str = "fb") -> boo
     strides = view.strides  # in cells: a bool is one byte
     step = strides[axis]
     block, ahead_f, ahead_b = _offsets(strides, axis)
-    # Each line's first interior cell, lines in lexicographic order.
-    starts = step
-    for j, n in enumerate(arr.shape):
-        if j != axis:
-            starts = np.add.outer(starts, np.arange(1, n + 1) * strides[j])
-    starts = np.ravel(starts).tolist()
-    length = arr.shape[axis] * step
+    # Run extremes, lines in lexicographic order and runs in index order: a
+    # back cell has background behind it, a front cell background ahead.
+    # cells[..., 0] lies one step into its padded line.
+    lines = np.moveaxis(view, axis, -1)
+    cells = lines[..., 1:-1]
+    backs, fronts = (
+        (sum(c * s for c, s in zip(np.nonzero(m), cells.strides)) + step).tolist()
+        for m in (cells & ~lines[..., :-2], cells & ~lines[..., 2:])
+    )
     do_f = "f" in directions
     do_b = "b" in directions
     changed = False
-    for i in starts:
-        end = i + length
-        while i < end:
-            if not buf[i]:
-                i += step
-                continue
-            back = i
-            while buf[i]:
-                i += step
-            front = i - step
-            if front == back:
-                continue
-            if do_f and _deletable(buf, front, block, ahead_f):
-                buf[front] = 0
-                changed = True
-            if do_b and buf[back + step] and _deletable(buf, back, block, ahead_b):
-                buf[back] = 0
-                changed = True
+    for back, front in zip(backs, fronts):
+        if front == back:
+            continue
+        if do_f and _deletable(buf, front, block, ahead_f):
+            buf[front] = 0
+            changed = True
+        if do_b and buf[back + step] and _deletable(buf, back, block, ahead_b):
+            buf[back] = 0
+            changed = True
     if changed:
         arr[...] = view[interior]
     return changed

@@ -187,6 +187,7 @@ def gh_oracle(fg, shape):
 # replaced: same arrays, same ParseError offsets.
 
 MAX_CELLS = 10**8
+MAX_DIMS = 8
 
 
 def _tokens(data):
@@ -214,7 +215,7 @@ def _next_token(tokens, data, what):
         raise ParseError(f"truncated file: missing {what}", len(data)) from None
 
 
-def _next_int(tokens, data, what, minimum=1):
+def _next_int(tokens, data, what, minimum=1, maximum=None):
     tok, off = _next_token(tokens, data, what)
     if not tok.isdigit():
         raise ParseError(f"bad {what} {tok!r}", off)
@@ -224,6 +225,8 @@ def _next_int(tokens, data, what, minimum=1):
         raise ParseError(f"bad {what} {tok!r}", off) from None
     if value < minimum:
         raise ParseError(f"{what} must be >= {minimum}, got {value}", off)
+    if maximum is not None and value > maximum:
+        raise ParseError(f"{what} must be <= {maximum}, got {value}", off)
     return value
 
 
@@ -259,7 +262,7 @@ def ndbin_oracle(data):
     magic, off = _next_token(tokens, data, "magic")
     if magic != b"NDBIN":
         raise ParseError(f"unsupported magic {magic!r}", off)
-    k = _next_int(tokens, data, "dimension count", minimum=2)
+    k = _next_int(tokens, data, "dimension count", minimum=2, maximum=MAX_DIMS)
     shape = tuple(_next_int(tokens, data, f"size of dimension {i}") for i in range(k))
     total = math.prod(shape)
     if total > MAX_CELLS:

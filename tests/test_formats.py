@@ -132,6 +132,21 @@ class TestNdbin:
         out = tmp_path / "o.ndbin"
         assert main(["thin", "--algo", "nd", "--input", str(path), "--output", str(out)]) == 2
 
+    def test_dimension_count_cap(self, tmp_path, capsys):
+        # k = 8 is read; k = 9 is rejected at the dimension-count token.
+        assert read_ndbin(b"NDBIN 8" + b" 1" * 9).shape == (1,) * 8
+        with pytest.raises(ParseError, match="dimension count") as exc:
+            read_ndbin(b"NDBIN 9" + b" 1" * 10)
+        assert exc.value.offset == 6
+        # Past numpy's 64-dimension limit: a format error, not an algorithm error.
+        path = tmp_path / "k70.ndbin"
+        path.write_bytes(b"NDBIN 70" + b" 1" * 71)
+        code = main(["thin", "--algo", "nd", "--input", str(path),
+                     "--output", str(tmp_path / "o.ndbin")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @given(
         hnp.arrays(
             bool, hnp.array_shapes(min_dims=2, max_dims=4, max_side=6)

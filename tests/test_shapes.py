@@ -134,15 +134,22 @@ class TestRuggedize:
         assert not np.array_equal(a, b)
 
     def test_never_adds_and_keeps_interior(self):
-        p = generate(spec("disc", (13, 13), radius=5))
-        out = ruggedize(p, RuggedSpec(0.8, 9))
-        assert not (out & ~p).any()
         from scipy import ndimage
 
-        interior = ndimage.binary_erosion(
-            p, structure=ndimage.generate_binary_structure(2, 1), border_value=0
-        )
-        assert (out | ~interior).all()
+        edge = np.random.default_rng(5).random((6, 7)) < 0.7
+        edge[0] = True  # foreground on the grid face: outside counts as background
+        for p in (
+            generate(spec("disc", (13, 13), radius=5)),
+            generate(spec("sphere", (11, 11, 11), radius=4)),
+            edge,
+        ):
+            interior = ndimage.binary_erosion(
+                p, structure=ndimage.generate_binary_structure(p.ndim, 1), border_value=0
+            )
+            out = ruggedize(p, RuggedSpec(0.8, 9))
+            assert not (out & ~p).any()
+            assert (out | ~interior).all()
+            assert np.array_equal(ruggedize(p, RuggedSpec(1.0, 9)), interior)
 
     def test_bad_probability(self):
         p = generate(spec("disc", (9, 9), radius=3))

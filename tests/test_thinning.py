@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
+from hypothesis.extra import numpy as hnp
 
 from slicethin.pattern import component_count
 from slicethin.thinning import (
@@ -173,6 +176,38 @@ class TestThinSubcycle:
         for directions in ("sideways", "", "bf"):
             with pytest.raises(ValueError):
                 thin_subcycle(np.ones((3, 3), bool), 1, directions)
+
+
+_LAYOUTS = {
+    "c-order": lambda a: (a, lambda base: base),
+    "transposed": lambda a: (a.T.copy(), lambda base: base.T),
+    "reversed": lambda a: (a[::-1].copy(), lambda base: base[::-1]),
+    "strided": lambda a: (np.repeat(a, 2, axis=-1), lambda base: base[..., ::2]),
+}
+
+
+class TestKernelDifferential:
+    @given(
+        hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=4, max_side=6)),
+        hyp.sampled_from(sorted(_LAYOUTS)),
+        hyp.lists(
+            hyp.tuples(hyp.integers(0, 3), hyp.sampled_from(["f", "b", "fb"])),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_subcycle_oracle(self, pattern, layout, steps):
+        """A run of sub-cycles on one array, each checked against the oracle
+        through the caller's base array, for C-order and non-contiguous views."""
+        base, view = _LAYOUTS[layout](pattern)
+        fg = foreground_coords(pattern)
+        for axis, dirs in steps:
+            axis %= pattern.ndim
+            before = set(fg)
+            subcycle_oracle(fg, pattern.shape, axis, dirs)
+            assert thin_subcycle(view(base), axis, dirs) is (fg != before)
+            assert foreground_coords(view(base)) == fg
 
 
 class TestThin:
