@@ -11,16 +11,11 @@ from .formats import (
 from .metrics import MetricsReport, evaluate, measure_mt, size_ratio
 from .pattern import as_pattern, component_count
 from .shapes import RuggedSpec, ShapeSpec, generate, ruggedize
-from .thinning import (
-    Schedule,
-    thin,
-    thin_subcycle,
-)
+from .thinning import thin, thin_subcycle
 
 __all__ = [
     "MetricsReport",
     "RuggedSpec",
-    "Schedule",
     "ShapeSpec",
     "as_pattern",
     "component_count",

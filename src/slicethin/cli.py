@@ -16,7 +16,7 @@ from . import baselines, metrics, shapes, thinning
 from .formats import FormatError, ParseError, read_pattern, write_pattern
 from .pattern import DimensionError
 from .shapes import MarginError, RuggedSpec, ShapeSpec
-from .thinning import Schedule, ScheduleError
+from .thinning import ScheduleError
 
 ALGORITHMS = ("nd", "zs", "gh")
 
@@ -31,10 +31,9 @@ def _run_algorithm(algo, pattern, schedule=None):
 
 def cmd_thin(args) -> int:
     pattern = read_pattern(args.input, args.input_format)
-    schedule = Schedule.parse(args.schedule) if args.schedule else None
     if args.schedule and args.algo != "nd":
-        raise ScheduleError("--schedule applies to --algo nd only")
-    skeleton, iterations = _run_algorithm(args.algo, pattern, schedule)
+        raise _UsageError("--schedule applies to --algo nd only")
+    skeleton, iterations = _run_algorithm(args.algo, pattern, args.schedule or None)
     write_pattern(args.output, skeleton, args.output_format)
     if args.metrics:
         report = metrics.evaluate(pattern, skeleton, iterations)
@@ -44,9 +43,11 @@ def cmd_thin(args) -> int:
 
 def cmd_compare(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise _UsageError(f"no algorithm in --algos {args.algos!r}")
     for algo in algos:
         if algo not in ALGORITHMS:
-            raise ScheduleError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+            raise _UsageError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
     # Read and check every input before the header, so an error prints no rows.
     patterns = [read_pattern(path, args.input_format) for path in args.input]
     if set(algos) - {"nd"} and any(p.ndim != 2 for p in patterns):
@@ -73,6 +74,8 @@ def _mean(values):
 
 
 def cmd_metrics(args) -> int:
+    if args.iterations < 0:
+        raise _UsageError(f"--iterations must be >= 0, got {args.iterations}")
     pattern = read_pattern(args.input, args.input_format)
     skeleton = read_pattern(args.skeleton, args.input_format)
     report = metrics.evaluate(pattern, skeleton, args.iterations)
@@ -86,7 +89,7 @@ _GEN_PARAMS = ("side", "width", "height", "radius", "base", "slope")
 
 def cmd_gen(args) -> int:
     grid = _parse_grid(args.grid)
-    params = {name: getattr(args, name) for name in _GEN_PARAMS if getattr(args, name)}
+    params = {name: getattr(args, name) for name in _GEN_PARAMS if getattr(args, name) is not None}
     try:
         pattern = shapes.generate(ShapeSpec(kind=args.shape, grid=grid, params=params))
     except MarginError:  # a ValueError, but an algorithm error: exit 1, not 2

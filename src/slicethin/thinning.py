@@ -12,13 +12,13 @@ run changes before the scan reaches it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import prod
 
 import numpy as np
 
-from .pattern import as_pattern
+from .pattern import _MAX_DIMS, as_pattern
 
 
 class ScheduleError(ValueError):
@@ -28,63 +28,34 @@ class ScheduleError(ValueError):
 _SUB_RE = re.compile(r"(\d+)(fb|f|b)")
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered phases of (axis, directions) sub-cycles.
-
-    Each phase is iterated to convergence before the next phase starts.
-    ``directions`` is "f" (front/forward deletion only), "b" (back/backward
-    only) or "fb" (both).
-    """
-
-    phases: tuple[tuple[tuple[int, str], ...], ...]
-
-    @classmethod
-    def parse(cls, text: str) -> "Schedule":
-        """Parse schedule text: phases split by ';', sub-cycles by ','.
-
-        Each sub-cycle is an axis index followed by 'f', 'b' or 'fb',
-        e.g. "1fb,0fb" or "2fb;1fb,0fb".
-        """
-        phases = []
-        for phase_text in text.split(";"):
-            subs = []
-            for sub_text in phase_text.split(","):
-                m = _SUB_RE.fullmatch(sub_text.strip())
-                if m is None:
-                    raise ScheduleError(f"bad sub-cycle {sub_text!r} in schedule {text!r}")
-                subs.append((int(m.group(1)), m.group(2)))
-            if not subs:
-                raise ScheduleError(f"empty phase in schedule {text!r}")
-            phases.append(tuple(subs))
-        if not phases:
-            raise ScheduleError("empty schedule")
-        return cls(tuple(phases))
-
-    @classmethod
-    def default(cls, k: int) -> "Schedule":
-        """One phase, every axis once, both directions, innermost axis first."""
-        return cls((tuple((axis, "fb") for axis in range(k - 1, -1, -1)),))
-
-    def validate(self, k: int) -> None:
-        for phase in self.phases:
-            for axis, _ in phase:
-                if not 0 <= axis < k:
-                    raise ScheduleError(f"axis {axis} out of range for a {k}-D pattern")
-
-    def __str__(self) -> str:
-        return ";".join(
-            ",".join(f"{axis}{dirs}" for axis, dirs in phase) for phase in self.phases
-        )
+def _phases(schedule, k):
+    """``thin``'s schedule as phases of (axis, directions), for a k-D pattern."""
+    if schedule is None:
+        return [[(axis, "fb") for axis in range(k - 1, -1, -1)]]
+    phases = []
+    for phase_text in schedule.split(";"):
+        phase = []
+        for sub_text in phase_text.split(","):
+            m = _SUB_RE.fullmatch(sub_text.strip())
+            if m is None:
+                raise ScheduleError(f"bad sub-cycle {sub_text!r} in schedule {schedule!r}")
+            axis = int(m.group(1))
+            if axis >= k:
+                raise ScheduleError(f"axis {axis} out of range for a {k}-D pattern")
+            phase.append((axis, m.group(2)))
+        phases.append(phase)
+    return phases
 
 
+@lru_cache(maxsize=_MAX_DIMS)
 def _offsets(strides, axis):
     """Flat offsets around a cell p, for a run extreme along ``axis``.
 
-    Returns the offsets of p's 3^k block, then one list for the plane ahead
+    Returns the offsets of p's 3^k block, then one tuple for the plane ahead
     of p forward and one backward along ``axis``. Each holds, for every cell
     F of that plane, F's offset and the offsets of the cells in p's plane
-    next to both p and F (p left out).
+    next to both p and F (p left out). Cached: ``thin`` asks for the same
+    k keys on every iteration.
     """
     flat = {
         delta: sum(d * s for d, s in zip(delta, strides))
@@ -96,8 +67,8 @@ def _offsets(strides, axis):
             # Cells next to both p (the origin) and F, in p's plane.
             near = [range(max(x - 1, -1), min(x + 1, 1) + 1) for x in f]
             near[axis] = (0,)
-            ahead[f[axis]].append((flat[f], [flat[c] for c in product(*near) if any(c)]))
-    return list(flat.values()), ahead[1], ahead[-1]
+            ahead[f[axis]].append((flat[f], tuple(flat[c] for c in product(*near) if any(c))))
+    return tuple(flat.values()), tuple(ahead[1]), tuple(ahead[-1])
 
 
 def _deletable(buf, i, block, ahead):
@@ -169,22 +140,23 @@ def thin_subcycle(pattern: np.ndarray, axis: int, directions: str = "fb") -> boo
     return changed
 
 
-def thin(pattern, schedule: Schedule | str | None = None) -> tuple[np.ndarray, int]:
+def thin(pattern, schedule: str | None = None) -> tuple[np.ndarray, int]:
     """Thin a pattern to its skeleton.
 
-    Runs each schedule phase to convergence (an iteration executes every
-    sub-cycle of the phase once; the phase stops after the first iteration
-    that deletes nothing). Returns the skeleton and the total number of
+    ``schedule`` is text: phases split by ';', sub-cycles by ','. A
+    sub-cycle is an axis index plus 'f' (delete run fronts), 'b' (backs) or
+    'fb' (both), e.g. "1fb,0fb" or "2fb;1fb,0fb". None runs every axis once,
+    both directions, innermost axis first. Bad text, or an axis the pattern
+    does not have, raises ``ScheduleError``.
+
+    Runs each phase to convergence (an iteration executes every sub-cycle
+    of the phase once; the phase stops after the first iteration that
+    deletes nothing). Returns the skeleton and the total number of
     iterations across all phases.
     """
     arr = as_pattern(pattern).copy()
-    if schedule is None:
-        schedule = Schedule.default(arr.ndim)
-    elif isinstance(schedule, str):
-        schedule = Schedule.parse(schedule)
-    schedule.validate(arr.ndim)
     iterations = 0
-    for phase in schedule.phases:
+    for phase in _phases(schedule, arr.ndim):
         while True:
             iterations += 1
             changed = False

@@ -95,6 +95,23 @@ def subcycle_oracle(fg, shape, axis, dirs):
                 fg.discard(coord(back))
 
 
+def phases_oracle(text):
+    """Reference parser of schedule text, for valid text only: phases split
+    by ';', sub-cycles by ',', each an axis index then 'f', 'b' or 'fb'."""
+    phases = []
+    for phase in text.split(";"):
+        subs = []
+        for sub in phase.split(","):
+            sub = sub.strip()
+            digits = sub.rstrip("fb")
+            dirs = sub[len(digits):]
+            if not digits.isdigit() or dirs not in ("f", "b", "fb"):
+                raise ValueError(f"bad sub-cycle {sub!r}")
+            subs.append((int(digits), dirs))
+        phases.append(subs)
+    return phases
+
+
 def thin_oracle(fg, shape, phases=None):
     """Set-based reference of the sequential thinning procedure."""
     if phases is None:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
-from slicethin.cli import main
+from slicethin.cli import _UsageError, build_parser, main
 from slicethin.formats import read_pattern, write_ndbin, write_pbm, write_pattern
 from slicethin.metrics import CSV_HEADER
 
@@ -210,6 +210,32 @@ class TestGenCommand:
         code = main(["gen", "--shape", "blob", "--grid", "7x7",
                      "--output", str(tmp_path / "s.pbm")])
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--input", "{sq}", "--algos", ","], "no algorithm"),
+        (["compare", "--input", "{sq}", "--algos", "zs,xx"], "unknown algorithm"),
+        (["metrics", "--input", "{sq}", "--skeleton", "{sq}", "--iterations", "-4"],
+         "--iterations must be >= 0"),
+        (["thin", "--algo", "zs", "--schedule", "1fb", "--input", "{sq}", "--output", "{out}"],
+         "--schedule applies to --algo nd only"),
+        (["gen", "--shape", "disc", "--radius", "0", "--grid", "9x9", "--output", "{out}"],
+         "'radius' must be positive"),
+    ],
+    ids=["no-algos", "unknown-algo", "negative-iterations", "schedule-with-zs", "zero-radius"],
+)
+def test_usage_error(square7, tmp_path, capsys, argv, message):
+    """Bad arguments raise the CLI's usage error: exit 2, an error line and no output."""
+    argv = [word.format(sq=square7, out=tmp_path / "o.pbm") for word in argv]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(_UsageError, match=message):
+        args.func(args)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+    assert not (tmp_path / "o.pbm").exists()
 
 
 # ---------------------------------------------------------------- fuzzing

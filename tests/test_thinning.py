@@ -5,14 +5,9 @@ from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
 from slicethin.pattern import component_count
-from slicethin.thinning import (
-    Schedule,
-    ScheduleError,
-    thin,
-    thin_subcycle,
-)
+from slicethin.thinning import ScheduleError, thin, thin_subcycle
 
-from oracles import foreground_coords, subcycle_oracle, thin_oracle
+from oracles import foreground_coords, phases_oracle, subcycle_oracle, thin_oracle
 
 
 def from_coords(shape, coords):
@@ -23,30 +18,41 @@ def from_coords(shape, coords):
 
 
 class TestSchedule:
+    """Schedules as ``thin`` reads them: checked by the skeletons they give."""
+
     def test_parse_default_2d(self):
-        s = Schedule.parse("1fb,0fb")
-        assert s.phases == (((1, "fb"), (0, "fb")),)
-        assert s == Schedule.default(2)
+        for seed in range(3):
+            p = random_pattern((14, 14), 0.5, seed)
+            assert_same_thinning(thin(p), thin(p, "1fb,0fb"))
 
     def test_parse_phases(self):
-        s = Schedule.parse("2fb;1fb,0fb")
-        assert s.phases == (((2, "fb"),), ((1, "fb"), (0, "fb")))
-
-    def test_roundtrip_str(self):
-        text = "2f;1b,0fb"
-        assert str(Schedule.parse(text)) == text
+        # Each phase runs to convergence before the next; iterations add up.
+        p = random_pattern((7, 7, 7), 0.5, 0)
+        first, n_first = thin(p, "2fb")
+        second, n_second = thin(first, "1fb,0fb")
+        assert_same_thinning(thin(p, "2fb;1fb,0fb"), (second, n_first + n_second))
 
     def test_default_orders_innermost_first(self):
-        assert Schedule.default(3).phases == (((2, "fb"), (1, "fb"), (0, "fb")),)
+        for seed in range(3):
+            p = random_pattern((7, 7, 7), 0.5, seed)
+            assert_same_thinning(thin(p), thin(p, "2fb,1fb,0fb"))
 
-    @pytest.mark.parametrize("bad", ["", "x", "1fb,", "1c", "fb1", "1 fb", ";"])
+    @pytest.mark.parametrize("bad", ["", "x", "1fb,", "1c", "fb1", "1 fb", ";", "1fb;;0fb"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ScheduleError):
-            Schedule.parse(bad)
+            thin(np.ones((4, 4), bool), bad)
 
     def test_validate_axis_range(self):
+        # Every phase is checked, not only the first.
         with pytest.raises(ScheduleError):
-            Schedule.parse("2fb").validate(2)
+            thin(np.ones((4, 4), bool), "1fb;0fb,2fb")
+        with pytest.raises(ScheduleError):
+            thin(np.ones((3, 3, 3), bool), "3f")
+
+
+def assert_same_thinning(a, b):
+    """Two (skeleton, iterations) results of ``thin`` are identical."""
+    assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
 class TestRunScan:
@@ -227,12 +233,6 @@ class TestThin:
         assert np.array_equal(sk, expected)
         assert it == 4
 
-    def test_string_and_object_schedules_agree(self):
-        arr = np.ones((5, 6), bool)
-        a, _ = thin(arr, "1fb,0fb")
-        b, _ = thin(arr, Schedule.parse("1fb,0fb"))
-        assert np.array_equal(a, b)
-
     def test_schedule_axis_out_of_range(self):
         with pytest.raises(ScheduleError):
             thin(np.ones((4, 4), bool), "2fb")
@@ -263,7 +263,7 @@ def oracle_cases(shape, seeds, extra):
 def check_against_oracle(shape, schedule, density, seed):
     p = random_pattern(shape, density, seed)
     sk, it = thin(p, schedule)
-    phases = None if schedule is None else Schedule.parse(schedule).phases
+    phases = None if schedule is None else phases_oracle(schedule)
     oracle_fg, oracle_it = thin_oracle(foreground_coords(p), p.shape, phases)
     assert foreground_coords(sk) == oracle_fg
     assert it == oracle_it
