@@ -70,8 +70,11 @@ def evaluate(input_pattern, skeleton, iterations: int) -> MetricsReport:
     """Assemble the full report for one thinning result.
 
     Warns when the skeleton is not a subset of the input foreground.
-    ``m_t`` is only computed for 2D patterns.
+    ``m_t`` is only computed for 2D patterns. A negative ``iterations``
+    raises ``ValueError``.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     inp = as_pattern(input_pattern)
     sk = as_pattern(skeleton)
     if inp.shape == sk.shape and np.any(sk & ~inp):

@@ -4,9 +4,11 @@ Each iteration runs one deletion sub-cycle per scheduled axis. A sub-cycle
 walks every 1xN slice along its axis, finds the maximal foreground runs, and
 tests the run extremes (the front pixel with the highest index and the back
 pixel with the lowest) for deletability. Deletions are applied immediately,
-so later tests within the same pass see them. The runs are found in one
-numpy pass first: a deletion removes an extreme of the run under test, so no
-run changes before the scan reaches it.
+so later tests within the same pass see them.
+
+A sub-cycle runs in C (``_kernel.c``, built and loaded by ``_native`` on the
+first sub-cycle) where a C compiler builds it, and otherwise in the Python
+kernel below, its readable reference.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import prod
 
 import numpy as np
 
-from .pattern import _MAX_DIMS, as_pattern
+from .pattern import _MAX_DIMS, DimensionError, as_pattern
 
 
 class ScheduleError(ValueError):
@@ -91,17 +93,18 @@ def thin_subcycle(pattern: np.ndarray, axis: int, directions: str = "fb") -> boo
     runs in increasing index order. Within a run the front pixel is tested
     first; the back pixel is only considered while the cell just ahead of it
     is still foreground (otherwise the run is already a single survivor).
-    Returns whether any cell was deleted.
+    Returns whether any cell was deleted. Patterns of more than 8 dimensions
+    raise ``DimensionError``.
 
     The scan works on a flat byte copy padded by one background cell on
     every face, so every neighbour of a cell has a fixed flat offset and
-    the padding ends every run. Every run's back and front cell are listed
-    before the first test, which is exact because a deletion removes an
-    extreme of the run under test; the tests read the live buffer.
+    the padding ends every run.
     """
     arr = pattern
     if arr.dtype != bool or arr.ndim < 2:
         raise ValueError("thin_subcycle requires a mutable bool pattern array")
+    if arr.ndim > _MAX_DIMS:
+        raise DimensionError(f"thinning supports at most {_MAX_DIMS} dimensions, got {arr.ndim}")
     if not 0 <= axis < arr.ndim:
         raise ValueError(f"axis {axis} out of range")
     if directions not in ("f", "b", "fb"):
@@ -111,6 +114,31 @@ def thin_subcycle(pattern: np.ndarray, axis: int, directions: str = "fb") -> boo
     view = np.frombuffer(buf, bool).reshape(shape)
     interior = (slice(1, -1),) * arr.ndim
     view[interior] = arr
+    kernel = _native_subcycle() or _python_subcycle
+    changed = kernel(buf, view, axis, directions)
+    if changed:
+        arr[...] = view[interior]
+    return changed
+
+
+@lru_cache(maxsize=1)
+def _native_subcycle():
+    """The C sub-cycle, or None to run ``_python_subcycle``.
+
+    Looked up on the first sub-cycle, not at import, because it may compile.
+    """
+    from . import _native
+
+    return _native.load()
+
+
+def _python_subcycle(buf, view, axis, directions):
+    """The sub-cycle over ``buf``, the padded copy that ``view`` shows.
+
+    Every run's back and front cell are listed before the first test, which
+    is exact because a deletion removes an extreme of the run under test;
+    the tests read the live buffer.
+    """
     strides = view.strides  # in cells: a bool is one byte
     step = strides[axis]
     block, ahead_f, ahead_b = _offsets(strides, axis)
@@ -135,8 +163,6 @@ def thin_subcycle(pattern: np.ndarray, axis: int, directions: str = "fb") -> boo
         if do_b and buf[back + step] and _deletable(buf, back, block, ahead_b):
             buf[back] = 0
             changed = True
-    if changed:
-        arr[...] = view[interior]
     return changed
 
 
@@ -147,7 +173,8 @@ def thin(pattern, schedule: str | None = None) -> tuple[np.ndarray, int]:
     sub-cycle is an axis index plus 'f' (delete run fronts), 'b' (backs) or
     'fb' (both), e.g. "1fb,0fb" or "2fb;1fb,0fb". None runs every axis once,
     both directions, innermost axis first. Bad text, or an axis the pattern
-    does not have, raises ``ScheduleError``.
+    does not have, raises ``ScheduleError``; more than 8 dimensions raise
+    ``DimensionError``.
 
     Runs each phase to convergence (an iteration executes every sub-cycle
     of the phase once; the phase stops after the first iteration that

@@ -34,8 +34,7 @@ def diag(length, pad=2):
     return arr
 
 
-@pytest.fixture(scope="module")
-def random_corpus():
+def make_corpus():
     """Seeded random patterns with their default-schedule thinning results."""
     rng = np.random.default_rng(20240915)
     entries = []
@@ -49,6 +48,11 @@ def random_corpus():
         sk, it = thin(p)
         entries.append((p, sk, it))
     return entries
+
+
+@pytest.fixture(scope="module")
+def random_corpus():
+    return make_corpus()
 
 
 def test_c1_zs_eliminates_2x2_square():

@@ -153,3 +153,10 @@ class TestEvaluate:
         sk[0, 0] = True
         report = evaluate(inp, sk, 1)
         assert report.component_delta == -1
+
+    def test_negative_iterations_raise(self):
+        # The CSV row's n column is an iteration count, never negative.
+        p = np.ones((5, 5), bool)
+        with pytest.raises(ValueError, match="iterations"):
+            evaluate(p, p, -4)
+        assert evaluate(p, p, 0).n == 0

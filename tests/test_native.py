@@ -1,0 +1,151 @@
+"""Building, caching and loading the C kernel, and falling back from it."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import slicethin
+from slicethin import _native, thinning
+from slicethin.thinning import thin
+
+from oracles import foreground_coords, thin_oracle
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+# One random 3D case; the oracle's result is the skeleton every backend must give.
+PATTERN = np.random.default_rng(5).random((6, 7, 5)) < 0.6
+EXPECTED = thin_oracle(foreground_coords(PATTERN), PATTERN.shape)
+
+
+def native_loaded():
+    return thinning._native_subcycle() is not None
+
+
+def thinned(pattern):
+    sk, it = thin(pattern)
+    return foreground_coords(sk), it
+
+
+@pytest.fixture
+def kernel(monkeypatch, tmp_path):
+    """Forget the loaded backend before and after the test; builds are
+    cached under tmp_path."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    thinning._native_subcycle.cache_clear()
+    yield
+    thinning._native_subcycle.cache_clear()
+
+
+@needs_cc
+def test_automatic_builds_native(kernel, tmp_path):
+    # Where cc exists, the C kernel must really build, load and be used.
+    assert native_loaded()
+    assert thinned(PATTERN) == EXPECTED
+    [library] = (tmp_path / "cache" / "slicethin").iterdir()
+    assert library.name.startswith("kernel-") and library.suffix == ".so"
+
+
+def test_missing_compiler_falls_back(kernel, monkeypatch, tmp_path):
+    monkeypatch.setattr(_native, "COMPILE", ("slicethin-no-such-cc", *_native.COMPILE[1:]))
+    assert not native_loaded()
+    assert thinned(PATTERN) == EXPECTED
+    # The failed build leaves no temporary file behind.
+    assert list((tmp_path / "cache" / "slicethin").iterdir()) == []
+
+
+@needs_cc
+def test_temp_dir_when_cache_not_writable(kernel, monkeypatch, tmp_path):
+    # A file where the cache directory should be: it cannot be created.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    private = tmp_path / f"slicethin-{os.getuid()}"
+    assert native_loaded()
+    assert private.stat().st_mode & 0o777 == 0o700
+    assert len(list(private.glob("kernel-*.so"))) == 1
+
+
+@needs_cc
+def test_shared_temp_dir_refused(kernel, monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    private = tmp_path / f"slicethin-{os.getuid()}"
+    private.mkdir()
+    private.chmod(0o777)  # another user could plant a library here
+    assert not native_loaded()
+    assert thinned(PATTERN) == EXPECTED
+    assert list(private.iterdir()) == []
+
+
+def test_no_user_ids_and_no_cache_falls_back(kernel, monkeypatch, tmp_path):
+    # Without os.getuid there is no private temp directory to build in.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    (tmp_path / "file").write_text("")
+    monkeypatch.delattr(os, "getuid")
+    assert not native_loaded()
+    assert thinned(PATTERN) == EXPECTED
+
+
+def child_env(**env):
+    """This environment plus ``env``, with this slicethin importable."""
+    src = str(Path(slicethin.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, **env, "PYTHONPATH": path}
+
+
+def run_python(code, **env):
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(**env), capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+# Counts the processes the kernel load starts, in a fresh interpreter.
+COUNT_BUILDS = """
+import subprocess
+calls = []
+run = subprocess.run
+subprocess.run = lambda *a, **k: calls.append(a) or run(*a, **k)
+from slicethin import _native
+assert _native.load() is not None
+print(len(calls))
+"""
+
+
+@needs_cc
+def test_second_process_reuses_library(tmp_path):
+    env = {"XDG_CACHE_HOME": str(tmp_path)}
+    assert run_python(COUNT_BUILDS, **env) == ["1"]
+    [library] = (tmp_path / "slicethin").iterdir()
+    built = library.stat().st_mtime_ns
+    assert run_python(COUNT_BUILDS, **env) == ["0"]
+    assert library.stat().st_mtime_ns == built
+
+
+@needs_cc
+def test_concurrent_builds_share_one_library(tmp_path):
+    # Three cold processes at once: each builds to its own temporary file and
+    # renames it into place, so each loads a whole library.
+    env = child_env(XDG_CACHE_HOME=str(tmp_path))
+    code = "from slicethin import _native; assert _native.load() is not None"
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(3)]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0, 0]
+    assert [f.name[:7] for f in (tmp_path / "slicethin").iterdir()] == ["kernel-"]
+
+
+def test_import_loads_no_kernel():
+    # numpy may import ctypes itself; slicethin must add neither ctypes nor
+    # the kernel loader, which would slow every CLI start.
+    added = run_python(
+        "import sys, numpy, scipy.ndimage; before = set(sys.modules); import slicethin; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    assert "ctypes" not in added and "subprocess" not in added
+    assert "slicethin._native" not in added

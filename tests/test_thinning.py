@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
-from slicethin.pattern import component_count
+from slicethin.pattern import DimensionError, component_count
 from slicethin.thinning import ScheduleError, thin, thin_subcycle
 
 from oracles import foreground_coords, phases_oracle, subcycle_oracle, thin_oracle
@@ -183,6 +183,18 @@ class TestThinSubcycle:
             with pytest.raises(ValueError):
                 thin_subcycle(np.ones((3, 3), bool), 1, directions)
 
+    def test_more_than_8_dims(self):
+        # One cell: the 3^9 block would still be built and scanned without the cap.
+        with pytest.raises(DimensionError):
+            thin_subcycle(np.ones((1,) * 9, bool), 0)
+        with pytest.raises(DimensionError):
+            thin(np.ones((1,) * 9, bool))
+
+
+@pytest.mark.usefixtures("python_kernel")
+class TestThinSubcyclePython(TestThinSubcycle):
+    """The sub-cycle tests under the Python kernel, where the plain run used C."""
+
 
 _LAYOUTS = {
     "c-order": lambda a: (a, lambda base: base),
@@ -192,17 +204,21 @@ _LAYOUTS = {
 }
 
 
+# TestKernelDifferentialPython runs these tests again from a subclass, which
+# Hypothesis sees as a second executor; both backends must pass the same
+# examples, so sharing them is what is wanted.
+_DIFFERENTIAL = settings(
+    max_examples=500, deadline=None, suppress_health_check=[HealthCheck.differing_executors]
+)
+_SHAPES = hnp.array_shapes(min_dims=2, max_dims=4, min_side=0, max_side=6)
+_STEPS = hyp.lists(
+    hyp.tuples(hyp.integers(0, 3), hyp.sampled_from(["f", "b", "fb"])), min_size=1, max_size=3
+)
+
+
 class TestKernelDifferential:
-    @given(
-        hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=4, max_side=6)),
-        hyp.sampled_from(sorted(_LAYOUTS)),
-        hyp.lists(
-            hyp.tuples(hyp.integers(0, 3), hyp.sampled_from(["f", "b", "fb"])),
-            min_size=1,
-            max_size=3,
-        ),
-    )
-    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(bool, _SHAPES), hyp.sampled_from(sorted(_LAYOUTS)), _STEPS)
+    @_DIFFERENTIAL
     def test_matches_subcycle_oracle(self, pattern, layout, steps):
         """A run of sub-cycles on one array, each checked against the oracle
         through the caller's base array, for C-order and non-contiguous views."""
@@ -214,6 +230,30 @@ class TestKernelDifferential:
             subcycle_oracle(fg, pattern.shape, axis, dirs)
             assert thin_subcycle(view(base), axis, dirs) is (fg != before)
             assert foreground_coords(view(base)) == fg
+
+    @given(
+        hnp.arrays(bool, _SHAPES),
+        hyp.sampled_from(sorted(_LAYOUTS)),
+        hyp.one_of(hyp.none(), hyp.lists(_STEPS, min_size=1, max_size=2)),
+    )
+    @_DIFFERENTIAL
+    def test_thin_matches_thin_oracle(self, pattern, layout, phases):
+        """``thin`` of a view, under the default or a random schedule."""
+        base, view = _LAYOUTS[layout](pattern)
+        if phases is not None:
+            phases = [[(axis % pattern.ndim, dirs) for axis, dirs in phase] for phase in phases]
+        schedule = None if phases is None else ";".join(
+            ",".join(f"{axis}{dirs}" for axis, dirs in phase) for phase in phases
+        )
+        sk, it = thin(view(base), schedule)
+        assert (foreground_coords(sk), it) == thin_oracle(
+            foreground_coords(pattern), pattern.shape, phases
+        )
+
+
+@pytest.mark.usefixtures("python_kernel")
+class TestKernelDifferentialPython(TestKernelDifferential):
+    """The differential tests under the Python kernel, where the plain run used C."""
 
 
 class TestThin:
@@ -343,3 +383,8 @@ class TestThinProperties:
         arr[2, 2, 1:8] = True
         sk, it = thin(arr)
         assert np.array_equal(sk, arr) and it == 1
+
+
+@pytest.mark.usefixtures("python_kernel")
+class TestThinPropertiesPython(TestThinProperties):
+    """The property tests under the Python kernel, where the plain run used C."""
