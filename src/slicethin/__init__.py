@@ -11,7 +11,7 @@ from .formats import (
 from .metrics import MetricsReport, evaluate, measure_mt, size_ratio
 from .pattern import as_pattern, component_count
 from .shapes import RuggedSpec, ShapeSpec, generate, ruggedize
-from .thinning import thin, thin_subcycle
+from .thinning import thin
 
 __all__ = [
     "MetricsReport",
@@ -29,7 +29,6 @@ __all__ = [
     "ruggedize",
     "size_ratio",
     "thin",
-    "thin_subcycle",
     "write_ndbin",
     "write_pbm",
     "zs_thin",

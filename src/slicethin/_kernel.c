@@ -1,10 +1,11 @@
 /* One nd deletion sub-cycle in C: the scan and the deletability test of
- * thin_subcycle's Python kernel (thinning.py), over the same zero-padded
- * C-order byte buffer. The neighbour offsets come from thinning._offsets.
+ * the Python kernel (thinning._python_subcycle), in place on the zero-padded
+ * C-order pattern that thin allocates once per run. The neighbour offsets
+ * come from thinning._offsets.
  */
 #include <stddef.h>
 
-#define MAX_DIMS 8 /* pattern._MAX_DIMS; thin_subcycle rejects larger k */
+#define MAX_DIMS 8 /* pattern._MAX_DIMS; thin rejects larger k */
 
 /* ahead = {n, then per cell F: F's offset, m, m offsets of shared cells}. */
 static int deletable(const unsigned char *buf, ptrdiff_t i, const ptrdiff_t *block,
@@ -31,13 +32,15 @@ static int deletable(const unsigned char *buf, ptrdiff_t i, const ptrdiff_t *blo
 }
 
 /* shape is the padded shape. Lines go in lexicographic order of their
- * fixed coordinates, runs in index order; returns whether a cell was deleted. */
-int slicethin_subcycle(unsigned char *buf, int ndim, const ptrdiff_t *shape, int axis,
-                       int do_f, int do_b, const ptrdiff_t *block,
-                       const ptrdiff_t *ahead_f, const ptrdiff_t *ahead_b)
+ * fixed coordinates, runs in index order; returns the number of cells deleted. */
+ptrdiff_t slicethin_subcycle(unsigned char *buf, int ndim, const ptrdiff_t *shape, int axis,
+                             int do_f, int do_b, const ptrdiff_t *block,
+                             const ptrdiff_t *ahead_f, const ptrdiff_t *ahead_b)
 {
-    ptrdiff_t strides[MAX_DIMS], coord[MAX_DIMS], size = 1, nblock = 1;
-    int d, changed = 0;
+    ptrdiff_t strides[MAX_DIMS], coord[MAX_DIMS], size = 1, nblock = 1, deleted = 0;
+    int d;
+    if (ndim > MAX_DIMS) /* the arrays above hold MAX_DIMS entries */
+        return 0;
     for (d = ndim - 1; d >= 0; d--) {
         if (shape[d] < 3) /* no interior cells */
             return 0;
@@ -68,11 +71,11 @@ int slicethin_subcycle(unsigned char *buf, int ndim, const ptrdiff_t *shape, int
                 continue;
             if (do_f && deletable(buf, front, block, nblock, ahead_f)) {
                 buf[front] = 0;
-                changed = 1;
+                deleted++;
             }
             if (do_b && buf[back + step] && deletable(buf, back, block, nblock, ahead_b)) {
                 buf[back] = 0;
-                changed = 1;
+                deleted++;
             }
         }
         for (d = ndim - 1; d >= 0; d--) {
@@ -83,6 +86,6 @@ int slicethin_subcycle(unsigned char *buf, int ndim, const ptrdiff_t *shape, int
             coord[d] = 1;
         }
         if (d < 0)
-            return changed;
+            return deleted;
     }
 }

@@ -33,21 +33,21 @@ _Offsets = ctypes.POINTER(ctypes.c_ssize_t)
 
 
 def load():
-    """The C sub-cycle as ``f(buf, view, axis, directions) -> bool``, or None
-    where the Python kernel is to run."""
+    """The C sub-cycle as ``f(padded, axis, directions) -> cells deleted``,
+    or None where the Python kernel is to run."""
     try:
         fn = ctypes.CDLL(str(_library())).slicethin_subcycle
     except (OSError, subprocess.SubprocessError):
         return None
-    fn.restype = ctypes.c_int
+    fn.restype = ctypes.c_ssize_t
     fn.argtypes = (ctypes.c_void_p, ctypes.c_int, _Offsets, ctypes.c_int, ctypes.c_int,
                    ctypes.c_int, _Offsets, _Offsets, _Offsets)
 
-    def subcycle(buf, view, axis, directions):
-        block, ahead_f, ahead_b = _flat_offsets(view.strides, axis)
-        shape = (ctypes.c_ssize_t * view.ndim)(*view.shape)
-        return bool(fn(view.ctypes.data, view.ndim, shape, axis, "f" in directions,
-                       "b" in directions, block, ahead_f, ahead_b))
+    def subcycle(padded, axis, directions):
+        block, ahead_f, ahead_b = _flat_offsets(padded.strides, axis)
+        shape = (ctypes.c_ssize_t * padded.ndim)(*padded.shape)
+        return fn(padded.ctypes.data, padded.ndim, shape, axis, "f" in directions,
+                  "b" in directions, block, ahead_f, ahead_b)
 
     return subcycle
 

@@ -6,9 +6,11 @@ tests the run extremes (the front pixel with the highest index and the back
 pixel with the lowest) for deletability. Deletions are applied immediately,
 so later tests within the same pass see them.
 
-A sub-cycle runs in C (``_kernel.c``, built and loaded by ``_native`` on the
-first sub-cycle) where a C compiler builds it, and otherwise in the Python
-kernel below, its readable reference.
+``thin`` pads the pattern once with one background cell on every face, and
+every sub-cycle of the run works in place on that one buffer. A sub-cycle
+runs in C (``_kernel.c``, built and loaded by ``_native`` on the first
+sub-cycle) where a C compiler builds it, and otherwise in the Python kernel
+below, its readable reference.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import product
-from math import prod
 
 import numpy as np
 
@@ -86,39 +87,18 @@ def _deletable(buf, i, block, ahead):
     return all(not buf[i + f] or any(buf[i + c] for c in shared) for f, shared in ahead)
 
 
-def thin_subcycle(pattern: np.ndarray, axis: int, directions: str = "fb") -> bool:
-    """One sequential deletion pass along ``axis``, in place.
+def thin_subcycle(padded, axis, directions):
+    """One sequential deletion pass along ``axis``, in place on ``padded``:
+    a C-order bool pattern with one background cell on every face, so every
+    neighbour of a cell has a fixed flat offset and the padding ends every
+    run. Returns the number of cells deleted.
 
     Slices are visited in lexicographic order of their fixed coordinates,
     runs in increasing index order. Within a run the front pixel is tested
     first; the back pixel is only considered while the cell just ahead of it
     is still foreground (otherwise the run is already a single survivor).
-    Returns whether any cell was deleted. Patterns of more than 8 dimensions
-    raise ``DimensionError``.
-
-    The scan works on a flat byte copy padded by one background cell on
-    every face, so every neighbour of a cell has a fixed flat offset and
-    the padding ends every run.
     """
-    arr = pattern
-    if arr.dtype != bool or arr.ndim < 2:
-        raise ValueError("thin_subcycle requires a mutable bool pattern array")
-    if arr.ndim > _MAX_DIMS:
-        raise DimensionError(f"thinning supports at most {_MAX_DIMS} dimensions, got {arr.ndim}")
-    if not 0 <= axis < arr.ndim:
-        raise ValueError(f"axis {axis} out of range")
-    if directions not in ("f", "b", "fb"):
-        raise ValueError(f"directions must be 'f', 'b' or 'fb', got {directions!r}")
-    shape = tuple(n + 2 for n in arr.shape)
-    buf = bytearray(prod(shape))
-    view = np.frombuffer(buf, bool).reshape(shape)
-    interior = (slice(1, -1),) * arr.ndim
-    view[interior] = arr
-    kernel = _native_subcycle() or _python_subcycle
-    changed = kernel(buf, view, axis, directions)
-    if changed:
-        arr[...] = view[interior]
-    return changed
+    return (_native_subcycle() or _python_subcycle)(padded, axis, directions)
 
 
 @lru_cache(maxsize=1)
@@ -132,13 +112,14 @@ def _native_subcycle():
     return _native.load()
 
 
-def _python_subcycle(buf, view, axis, directions):
-    """The sub-cycle over ``buf``, the padded copy that ``view`` shows.
+def _python_subcycle(view, axis, directions):
+    """The sub-cycle over the padded pattern ``view``.
 
     Every run's back and front cell are listed before the first test, which
     is exact because a deletion removes an extreme of the run under test;
     the tests read the live buffer.
     """
+    buf = memoryview(view).cast("B")
     strides = view.strides  # in cells: a bool is one byte
     step = strides[axis]
     block, ahead_f, ahead_b = _offsets(strides, axis)
@@ -153,17 +134,17 @@ def _python_subcycle(buf, view, axis, directions):
     )
     do_f = "f" in directions
     do_b = "b" in directions
-    changed = False
+    deleted = 0
     for back, front in zip(backs, fronts):
         if front == back:
             continue
         if do_f and _deletable(buf, front, block, ahead_f):
             buf[front] = 0
-            changed = True
+            deleted += 1
         if do_b and buf[back + step] and _deletable(buf, back, block, ahead_b):
             buf[back] = 0
-            changed = True
-    return changed
+            deleted += 1
+    return deleted
 
 
 def thin(pattern, schedule: str | None = None) -> tuple[np.ndarray, int]:
@@ -181,15 +162,18 @@ def thin(pattern, schedule: str | None = None) -> tuple[np.ndarray, int]:
     deletes nothing). Returns the skeleton and the total number of
     iterations across all phases.
     """
-    arr = as_pattern(pattern).copy()
+    arr = as_pattern(pattern)
+    phases = _phases(schedule, arr.ndim)
+    if arr.ndim > _MAX_DIMS:
+        raise DimensionError(f"thinning supports at most {_MAX_DIMS} dimensions, got {arr.ndim}")
+    # np.zeros, not np.pad, which would keep a Fortran-order input's order.
+    padded = np.zeros(np.add(arr.shape, 2), bool)
+    interior = (slice(1, -1),) * arr.ndim
+    padded[interior] = arr
     iterations = 0
-    for phase in _phases(schedule, arr.ndim):
+    for phase in phases:
         while True:
             iterations += 1
-            changed = False
-            for axis, dirs in phase:
-                if thin_subcycle(arr, axis, dirs):
-                    changed = True
-            if not changed:
+            if not sum(thin_subcycle(padded, axis, dirs) for axis, dirs in phase):
                 break
-    return arr, iterations
+    return padded[interior].copy(), iterations

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from slicethin.pattern import DimensionError, as_pattern, component_count
-from slicethin.thinning import thin_subcycle
 
+from helpers import run_subcycle
 from oracles import ball, components_oracle, foreground_coords, subcycle_oracle
 
 
@@ -53,7 +53,7 @@ class TestNeighborhood:
             arr[tuple(zip(*coords))] = True
             fg = set(coords)
             subcycle_oracle(fg, arr.shape, 1, "f")
-            thin_subcycle(arr, 1, "f")
+            run_subcycle(arr, 1, "f")
             assert foreground_coords(arr) == fg == kept
 
     @given(

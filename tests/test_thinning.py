@@ -5,8 +5,9 @@ from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
 from slicethin.pattern import DimensionError, component_count
-from slicethin.thinning import ScheduleError, thin, thin_subcycle
+from slicethin.thinning import ScheduleError, thin
 
+from helpers import run_subcycle
 from oracles import foreground_coords, phases_oracle, subcycle_oracle, thin_oracle
 
 
@@ -56,25 +57,25 @@ def assert_same_thinning(a, b):
 
 
 class TestRunScan:
-    """thin_subcycle finds every maximal run of a slice and tests its ends."""
+    """A sub-cycle finds every maximal run of a slice and tests its ends."""
 
     def test_two_runs(self):
         # Two 3x3 blocks share every row: one horizontal pass thins both
         # runs of each row to the block's centre column.
         arr = np.zeros((3, 7), bool)
         arr[:, 0:3] = arr[:, 4:7] = True
-        assert thin_subcycle(arr, 1, "fb") is True
+        assert run_subcycle(arr, 1, "fb") > 0
         assert foreground_coords(arr) == {(x, y) for x in range(3) for y in (1, 5)}
 
     def test_background_slice(self):
         arr = np.zeros((3, 4), bool)
-        assert thin_subcycle(arr, 1, "fb") is False
+        assert run_subcycle(arr, 1, "fb") == 0
         assert not arr.any()
 
     def test_full_slice(self):
         # Runs that touch both ends of the slice.
         arr = np.ones((2, 3), bool)
-        assert thin_subcycle(arr, 1, "fb") is True
+        assert run_subcycle(arr, 1, "fb") > 0
         assert foreground_coords(arr) == {(0, 1), (1, 1)}
 
     def test_run_coords(self):
@@ -83,7 +84,7 @@ class TestRunScan:
             arr = random_pattern((5, 4, 6), 0.6, axis)
             fg = foreground_coords(arr)
             subcycle_oracle(fg, arr.shape, axis, "fb")
-            thin_subcycle(arr, axis, "fb")
+            run_subcycle(arr, axis, "fb")
             assert foreground_coords(arr) == fg
 
 
@@ -91,7 +92,7 @@ def check_subcycle(arr, axis, dirs, kept):
     """Run one sub-cycle; it must agree with the oracle and keep ``kept``."""
     fg = foreground_coords(arr)
     subcycle_oracle(fg, arr.shape, axis, dirs)
-    thin_subcycle(arr, axis, dirs)
+    run_subcycle(arr, axis, dirs)
     assert foreground_coords(arr) == fg == kept
 
 
@@ -142,19 +143,19 @@ class TestContourDeletable:
 class TestThinSubcycle:
     def test_domino_unchanged(self):
         arr = from_coords((1, 2), [(0, 0), (0, 1)])
-        assert thin_subcycle(arr, 1, "fb") is False
+        assert run_subcycle(arr, 1, "fb") == 0
         assert arr.all()
 
     def test_width_one_row_protected(self):
         arr = np.ones((1, 4), bool)
-        assert thin_subcycle(arr, 1, "fb") is False
+        assert run_subcycle(arr, 1, "fb") == 0
         assert arr.all()
 
     def test_3x3_block_one_pass(self):
         # Golden from the set-based simulation oracle: one horizontal pass
         # leaves the center column.
         arr = np.ones((3, 3), bool)
-        assert thin_subcycle(arr, 1, "fb") is True
+        assert run_subcycle(arr, 1, "fb") > 0
         assert foreground_coords(arr) == {(0, 1), (1, 1), (2, 1)}
 
     @pytest.mark.parametrize(
@@ -172,21 +173,11 @@ class TestThinSubcycle:
         base = random_pattern(shape, 0.6, 4)
         fg = foreground_coords(view(base))
         subcycle_oracle(fg, view(base).shape, 1, "fb")
-        assert thin_subcycle(view(base), 1, "fb") is True
+        assert run_subcycle(view(base), 1, "fb") > 0
         assert foreground_coords(view(base)) == fg
-
-    def test_requires_bool_array(self):
-        with pytest.raises(ValueError):
-            thin_subcycle(np.ones((3, 3), np.uint8), 1)
-        # Only "f", "b" and "fb" are directions.
-        for directions in ("sideways", "", "bf"):
-            with pytest.raises(ValueError):
-                thin_subcycle(np.ones((3, 3), bool), 1, directions)
 
     def test_more_than_8_dims(self):
         # One cell: the 3^9 block would still be built and scanned without the cap.
-        with pytest.raises(DimensionError):
-            thin_subcycle(np.ones((1,) * 9, bool), 0)
         with pytest.raises(DimensionError):
             thin(np.ones((1,) * 9, bool))
 
@@ -228,7 +219,7 @@ class TestKernelDifferential:
             axis %= pattern.ndim
             before = set(fg)
             subcycle_oracle(fg, pattern.shape, axis, dirs)
-            assert thin_subcycle(view(base), axis, dirs) is (fg != before)
+            assert run_subcycle(view(base), axis, dirs) == len(before - fg)
             assert foreground_coords(view(base)) == fg
 
     @given(
