@@ -20,51 +20,29 @@ import stat
 import subprocess
 import tempfile
 from contextlib import suppress
-from functools import lru_cache
 from pathlib import Path
-
-from .pattern import _MAX_DIMS
-from .thinning import _offsets
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 
-_Offsets = ctypes.POINTER(ctypes.c_ssize_t)
-
 
 def load():
     """The C sub-cycle as ``f(padded, axis, directions) -> cells deleted``,
-    or None where the Python kernel is to run."""
+    or None where the Python kernel is to run. It passes the buffer and its
+    shape only; the C code builds its own strides and plane offsets."""
     try:
         fn = ctypes.CDLL(str(_library())).slicethin_subcycle
     except (OSError, subprocess.SubprocessError):
         return None
     fn.restype = ctypes.c_ssize_t
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_int, _Offsets, ctypes.c_int, ctypes.c_int,
-                   ctypes.c_int, _Offsets, _Offsets, _Offsets)
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(ctypes.c_ssize_t),
+                   ctypes.c_int, ctypes.c_int, ctypes.c_int)
 
     def subcycle(padded, axis, directions):
-        block, ahead_f, ahead_b = _flat_offsets(padded.strides, axis)
-        shape = (ctypes.c_ssize_t * padded.ndim)(*padded.shape)
-        return fn(padded.ctypes.data, padded.ndim, shape, axis, "f" in directions,
-                  "b" in directions, block, ahead_f, ahead_b)
+        return fn(padded.ctypes.data, padded.ndim, padded.ctypes.shape_as(ctypes.c_ssize_t),
+                  axis, "f" in directions, "b" in directions)
 
     return subcycle
-
-
-@lru_cache(maxsize=_MAX_DIMS)
-def _flat_offsets(strides, axis):
-    """``_offsets`` as C arrays; each plane-ahead list is flattened to
-    {n, then per cell F: F's offset, m, m shared offsets}. Built from the
-    uncached ``_offsets``, so only this cache holds the tables."""
-
-    def c_array(values):
-        return (ctypes.c_ssize_t * len(values))(*values)
-
-    block, ahead_f, ahead_b = _offsets.__wrapped__(strides, axis)
-    flat = [[len(ahead), *(x for f, shared in ahead for x in (f, len(shared), *shared))]
-            for ahead in (ahead_f, ahead_b)]
-    return c_array(block), c_array(flat[0]), c_array(flat[1])
 
 
 def _library():

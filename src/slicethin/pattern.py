@@ -12,9 +12,9 @@ from scipy import ndimage
 
 # The most cells a pattern may have when read from a file or generated.
 _MAX_CELLS = 10**8
-# The most dimensions a pattern file may declare and the nd kernel accepts: it
-# tests 3^k-cell blocks, so a one-cell pattern takes seconds to thin at k = 8
-# and about eight times longer for each k above.
+# The most dimensions a pattern file may declare and the nd kernel accepts:
+# the C kernel's fixed arrays (MAX_DIMS, and MAX_PLANE = 3^(k-1) plane cells,
+# in _kernel.c) are sized for it.
 _MAX_DIMS = 8
 
 

@@ -10,14 +10,14 @@ so later tests within the same pass see them.
 every sub-cycle of the run works in place on that one buffer. A sub-cycle
 runs in C (``_kernel.c``, built and loaded by ``_native`` on the first
 sub-cycle) where a C compiler builds it, and otherwise in the Python kernel
-below, its readable reference.
+below, its readable reference. Both apply the same plane test
+(``_deletable``), and each builds its own plane offsets from the buffer.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -50,41 +50,40 @@ def _phases(schedule, k):
     return phases
 
 
-@lru_cache(maxsize=_MAX_DIMS)
 def _offsets(strides, axis):
-    """Flat offsets around a cell p, for a run extreme along ``axis``.
+    """The plane cube of a run extreme p along ``axis``, and its dilation.
 
-    Returns the offsets of p's 3^k block, then one tuple for the plane ahead
-    of p forward and one backward along ``axis``. Each holds, for every cell
-    F of that plane, F's offset and the offsets of the cells in p's plane
-    next to both p and F (p left out). Cached: ``thin`` asks for the same
-    k keys on every iteration.
+    Returns the flat offsets of the 3^(k-1) cells of p's plane within p's
+    3^k block, the last plane axis fastest (so p is the middle one), and,
+    per plane axis in turn, the index triples (q - t, q, q + t) of the lines
+    of that cube along the axis.
     """
-    flat = {
-        delta: sum(d * s for d, s in zip(delta, strides))
-        for delta in product((-1, 0, 1), repeat=len(strides))
-    }
-    ahead = {1: [], -1: []}
-    for f in flat:
-        if f[axis]:
-            # Cells next to both p (the origin) and F, in p's plane.
-            near = [range(max(x - 1, -1), min(x + 1, 1) + 1) for x in f]
-            near[axis] = (0,)
-            ahead[f[axis]].append((flat[f], tuple(flat[c] for c in product(*near) if any(c))))
-    return tuple(flat.values()), tuple(ahead[1]), tuple(ahead[-1])
+    plane = [0]
+    for d, s in enumerate(strides):
+        if d != axis:
+            plane = [o + x for o in plane for x in (-s, 0, s)]
+    ts = [3**j for j in range(len(strides) - 1)]  # the cube's own strides
+    return plane, [(q - t, q, q + t) for t in ts for q in range(len(plane)) if q // t % 3 == 1]
 
 
-def _deletable(buf, i, block, ahead):
-    """Deletability of the run extreme at flat index ``i`` of a padded buffer.
+def _deletable(buf, i, plane, triples, ahead):
+    """Deletability of the run extreme p at flat index ``i`` of a padded
+    buffer, whose plane ahead lies ``ahead`` cells on.
 
     Retains end-points (<= 2 foreground cells in the 3^k block, p included).
-    Otherwise every foreground cell F ahead of p must share a foreground
-    neighbour with p in p's plane; if none does, p carries the connection
-    to F and must stay.
+    Otherwise every foreground cell F of the plane ahead must lie in the
+    one-cell box dilation of p's plane with p left out; if F does not, it
+    shares no foreground neighbour with p there, so p carries the
+    connection to F and must stay.
     """
-    if sum(buf[i + o] for o in block) <= 2:
+    if sum(buf[i + o - ahead] + buf[i + o] + buf[i + o + ahead] for o in plane) <= 2:
         return False
-    return all(not buf[i + f] or any(buf[i + c] for c in shared) for f, shared in ahead)
+    near = [buf[i + o] for o in plane]
+    near[len(near) // 2] = 0
+    for a, b, c in triples:
+        x, y, z = near[a], near[b], near[c]
+        near[a], near[b], near[c] = x | y, x | y | z, y | z
+    return all(near[j] or not buf[i + ahead + o] for j, o in enumerate(plane))
 
 
 def thin_subcycle(padded, axis, directions):
@@ -122,7 +121,7 @@ def _python_subcycle(view, axis, directions):
     buf = memoryview(view).cast("B")
     strides = view.strides  # in cells: a bool is one byte
     step = strides[axis]
-    block, ahead_f, ahead_b = _offsets(strides, axis)
+    plane, triples = _offsets(strides, axis)
     # Run extremes, lines in lexicographic order and runs in index order: a
     # back cell has background behind it, a front cell background ahead.
     # cells[..., 0] lies one step into its padded line.
@@ -138,10 +137,10 @@ def _python_subcycle(view, axis, directions):
     for back, front in zip(backs, fronts):
         if front == back:
             continue
-        if do_f and _deletable(buf, front, block, ahead_f):
+        if do_f and _deletable(buf, front, plane, triples, step):
             buf[front] = 0
             deleted += 1
-        if do_b and buf[back + step] and _deletable(buf, back, block, ahead_b):
+        if do_b and buf[back + step] and _deletable(buf, back, plane, triples, -step):
             buf[back] = 0
             deleted += 1
     return deleted

@@ -1,6 +1,7 @@
 """Building, caching and loading the C kernel, and falling back from it."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import slicethin
 from slicethin import _native, thinning
+from slicethin.pattern import _MAX_DIMS
 from slicethin.thinning import thin
 
 from oracles import foreground_coords, thin_oracle
@@ -138,6 +140,14 @@ def test_concurrent_builds_share_one_library(tmp_path):
     procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(3)]
     assert [p.wait(timeout=120) for p in procs] == [0, 0, 0]
     assert [f.name[:7] for f in (tmp_path / "slicethin").iterdir()] == ["kernel-"]
+
+
+def test_kernel_sized_for_max_dims():
+    # Above its MAX_DIMS the C kernel deletes nothing, so thin would hand
+    # back an unthinned pattern; its plane buffer must hold a k = MAX_DIMS plane.
+    defines = dict(re.findall(r"^#define (\w+) (\d+)", _native.SOURCE.read_text(), re.M))
+    assert int(defines["MAX_DIMS"]) == _MAX_DIMS
+    assert int(defines["MAX_PLANE"]) == 3 ** (_MAX_DIMS - 1)
 
 
 def test_import_loads_no_kernel():

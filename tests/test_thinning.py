@@ -326,6 +326,21 @@ class TestThinProperties:
     def test_matches_set_oracle_3d(self, shape, schedule, seed):
         check_against_oracle(shape, schedule, 0.4, seed)
 
+    # k = 5..8: the plane cube grows to 3^7 cells, the C kernel's largest.
+    @pytest.mark.parametrize(
+        "shape, schedule, density",
+        [
+            ((3,) * 5, None, 0.4),
+            ((3,) * 6, None, 0.4),
+            ((4, 3, 3, 4, 3), "4fb;3f,0b", 0.4),
+            ((3,) * 7, None, 0.15),
+            ((3,) * 8, None, 0.05),
+        ],
+        ids=["3^5", "3^6", "4x3x3x4x3-4fb;3f,0b", "3^7", "3^8"],
+    )
+    def test_matches_set_oracle_high_k(self, shape, schedule, density):
+        check_against_oracle(shape, schedule, density, 0)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_anti_growth_and_termination(self, seed):
         p = random_pattern((16, 16), 0.55, seed)
