@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 1 for algorithm/metric errors (e.g. a 2D-only
 baseline applied to a 3D pattern, margin violations), 2 for usage and
 format errors (bad flags, unparseable schedules or files, paths that
-cannot be read or written).
+cannot be read or written, a 3D pattern written as PBM).
 """
 
 from __future__ import annotations
@@ -84,20 +84,22 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-_GEN_PARAMS = ("side", "width", "height", "radius", "base", "slope")
+# The `gen` parameter flags: every parameter name in the shape table, once each.
+_SHAPE_PARAMS = dict.fromkeys(name for _, names, _ in shapes._SHAPES.values() for name in names)
 
 
 def cmd_gen(args) -> int:
     grid = _parse_grid(args.grid)
-    params = {name: getattr(args, name) for name in _GEN_PARAMS if getattr(args, name) is not None}
+    params = {name: getattr(args, name) for name in _SHAPE_PARAMS
+              if getattr(args, name) is not None}
     try:
         pattern = shapes.generate(ShapeSpec(kind=args.shape, grid=grid, params=params))
+        if args.rugged is not None:
+            pattern = shapes.ruggedize(pattern, RuggedSpec(args.rugged, args.seed))
     except MarginError:  # a ValueError, but an algorithm error: exit 1, not 2
         raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if args.rugged is not None:
-        pattern = shapes.ruggedize(pattern, RuggedSpec(args.rugged, args.seed))
     write_pattern(args.output, pattern, args.output_format)
     return 0
 
@@ -149,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a synthetic test shape")
     p_gen.add_argument("--shape", required=True, choices=shapes.KINDS_2D + shapes.KINDS_3D)
     p_gen.add_argument("--grid", required=True, help="e.g. 7x7 or 9x9x5")
-    for name in _GEN_PARAMS:
+    for name in _SHAPE_PARAMS:
         p_gen.add_argument(f"--{name}", type=float)
     p_gen.add_argument("--rugged", type=float, help="boundary deletion probability")
     p_gen.add_argument("--seed", type=int, default=0)

@@ -19,7 +19,7 @@ from .pattern import _MAX_CELLS, _MAX_DIMS, as_pattern
 
 
 class FormatError(ValueError):
-    """Pattern file format could not be determined."""
+    """No file format could be inferred, or the format cannot hold the pattern."""
 
 
 class ParseError(ValueError):
@@ -127,7 +127,7 @@ def write_pbm(pattern) -> bytes:
     """Serialize a 2D pattern as plain PBM, one image row per line."""
     arr = as_pattern(pattern)
     if arr.ndim != 2:
-        raise ValueError("PBM holds 2D patterns only")
+        raise FormatError("PBM holds 2D patterns only")
     h, w = arr.shape
     return f"P1\n{w} {h}\n".encode() + _body(arr)
 

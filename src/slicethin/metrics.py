@@ -9,13 +9,11 @@ serialize it as ``NA``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .pattern import DimensionError, as_pattern, component_count
-
-CSV_HEADER = "algorithm,s_r,m_t,n,component_delta,area_input,area_skeleton"
 
 
 class UndefinedMetricError(ValueError):
@@ -38,6 +36,9 @@ class MetricsReport:
             for v in astuple(self)
         )
         return ",".join((algorithm, *cells))
+
+
+CSV_HEADER = ",".join(("algorithm", *(f.name for f in fields(MetricsReport))))
 
 
 def measure_mt(skeleton) -> float:

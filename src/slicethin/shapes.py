@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 
@@ -22,16 +23,6 @@ from .pattern import _MAX_CELLS, as_pattern
 
 class MarginError(ValueError):
     """Generated solid would touch the grid boundary."""
-
-
-KINDS_2D = ("square", "rectangle", "disc", "triangle")
-KINDS_3D = (
-    "sphere",
-    "cylinder",
-    "hyperboloid-one-sheet",
-    "hyperboloid-two-sheet",
-    "elliptic-paraboloid",
-)
 
 
 @dataclass(frozen=True)
@@ -45,6 +36,53 @@ class ShapeSpec:
 class RuggedSpec:
     probability: float
     seed: int
+
+
+def _box(x, *sizes):
+    """Cells within (size - 1) / 2 of the centre along each leading axis of x."""
+    return reduce(np.logical_and, (np.abs(c) <= (size - 1) / 2 for c, size in zip(x, sizes)))
+
+
+def _ball(x, radius):
+    return sum(c**2 for c in x) <= radius**2
+
+
+def _triangle(x, base, height):
+    # Isoceles, apex up (lowest row index), symmetric about the vertical
+    # axis; row t of 0..height-1 spans half-width (base-1)/2 * t/(height-1).
+    if height < 2:
+        raise ValueError("triangle height must be at least 2")
+    t = x[0] + (height - 1) / 2
+    halfwidth = (base - 1) / 2 * t / (height - 1)
+    return (t >= 0) & (t <= height - 1) & (np.abs(x[1]) <= halfwidth)
+
+
+def _hyperboloid(sign, x, radius, slope, height):
+    # x^2 + y^2 <= radius^2 ((z / slope)^2 + sign): one sheet for +1, two for -1.
+    bound = radius**2 * ((x[2] / slope) ** 2 + sign)
+    return (x[0] ** 2 + x[1] ** 2 <= bound) & _box(x[2:], height)
+
+
+def _paraboloid(x, radius, height):
+    # Apex at the low-z face, opening along +z.
+    t = x[2] + (height - 1) / 2
+    return (t >= 0) & (t <= height - 1) & (x[0] ** 2 + x[1] ** 2 <= radius**2 * t)
+
+
+# kind: (grid rank, parameter names, solid over the centred coordinates x).
+_SHAPES = {
+    "square": (2, ("side",), lambda x, side: _box(x, side, side)),
+    "rectangle": (2, ("height", "width"), _box),
+    "disc": (2, ("radius",), _ball),
+    "triangle": (2, ("base", "height"), _triangle),
+    "sphere": (3, ("radius",), _ball),
+    "cylinder": (3, ("radius", "height"), lambda x, r, h: _ball(x[:2], r) & _box(x[2:], h)),
+    "hyperboloid-one-sheet": (3, ("radius", "slope", "height"), partial(_hyperboloid, 1)),
+    "hyperboloid-two-sheet": (3, ("radius", "slope", "height"), partial(_hyperboloid, -1)),
+    "elliptic-paraboloid": (3, ("radius", "height"), _paraboloid),
+}
+KINDS_2D = tuple(kind for kind, (ndim, _, _) in _SHAPES.items() if ndim == 2)
+KINDS_3D = tuple(kind for kind, (ndim, _, _) in _SHAPES.items() if ndim == 3)
 
 
 def _centered(grid):
@@ -65,73 +103,26 @@ def _param(spec, name):
 
 
 def generate(spec: ShapeSpec) -> np.ndarray:
-    """Rasterize a filled solid inside the grid.
+    """Rasterize a filled solid of ``spec.kind`` inside the grid.
 
-    Parameters by kind: square(side), rectangle(height, width), disc(radius),
-    triangle(base, height), sphere(radius), cylinder(radius, height),
-    hyperboloid-one-sheet(radius, slope, height),
-    hyperboloid-two-sheet(radius, slope, height),
-    elliptic-paraboloid(radius, height).
+    ``spec.params`` must hold exactly the positive parameters that the
+    kind's row of ``_SHAPES`` names.
     """
     grid = tuple(int(n) for n in spec.grid)
     if any(n < 1 for n in grid):
         raise ValueError("grid dimensions must be positive")
     if math.prod(grid) > _MAX_CELLS:  # checked before _centered allocates the grid
         raise ValueError(f"grid has more than {_MAX_CELLS} cells")
-    ndim = 2 if spec.kind in KINDS_2D else 3 if spec.kind in KINDS_3D else None
-    if ndim is None:
+    if spec.kind not in _SHAPES:
         raise ValueError(f"unknown shape kind {spec.kind!r}")
+    ndim, names, solid = _SHAPES[spec.kind]
     if len(grid) != ndim:
         raise ValueError(f"{spec.kind} needs a {ndim}-D grid, got {len(grid)}-D")
+    for name in spec.params:
+        if name not in names:
+            raise ValueError(f"shape {spec.kind!r} takes {', '.join(names)}, not {name!r}")
 
-    cs = _centered(grid)
-    if spec.kind == "square":
-        half = (_param(spec, "side") - 1) / 2
-        mask = (np.abs(cs[0]) <= half) & (np.abs(cs[1]) <= half)
-    elif spec.kind == "rectangle":
-        h = (_param(spec, "height") - 1) / 2
-        w = (_param(spec, "width") - 1) / 2
-        mask = (np.abs(cs[0]) <= h) & (np.abs(cs[1]) <= w)
-    elif spec.kind == "disc":
-        r = _param(spec, "radius")
-        mask = cs[0] ** 2 + cs[1] ** 2 <= r**2
-    elif spec.kind == "triangle":
-        # Isoceles, apex up (lowest row index), symmetric about the vertical
-        # axis; row t of 0..height-1 spans half-width (base-1)/2 * t/(height-1).
-        base = _param(spec, "base")
-        height = _param(spec, "height")
-        if height < 2:
-            raise ValueError("triangle height must be at least 2")
-        t = cs[0] + (height - 1) / 2
-        halfwidth = (base - 1) / 2 * t / (height - 1)
-        mask = (t >= 0) & (t <= height - 1) & (np.abs(cs[1]) <= halfwidth)
-    elif spec.kind == "sphere":
-        r = _param(spec, "radius")
-        mask = cs[0] ** 2 + cs[1] ** 2 + cs[2] ** 2 <= r**2
-    elif spec.kind == "cylinder":
-        r = _param(spec, "radius")
-        h = (_param(spec, "height") - 1) / 2
-        mask = (cs[0] ** 2 + cs[1] ** 2 <= r**2) & (np.abs(cs[2]) <= h)
-    elif spec.kind == "hyperboloid-one-sheet":
-        a = _param(spec, "radius")
-        c = _param(spec, "slope")
-        h = (_param(spec, "height") - 1) / 2
-        mask = (cs[0] ** 2 + cs[1] ** 2 <= a**2 * (1 + (cs[2] / c) ** 2)) & (
-            np.abs(cs[2]) <= h
-        )
-    elif spec.kind == "hyperboloid-two-sheet":
-        a = _param(spec, "radius")
-        c = _param(spec, "slope")
-        h = (_param(spec, "height") - 1) / 2
-        mask = (cs[0] ** 2 + cs[1] ** 2 <= a**2 * ((cs[2] / c) ** 2 - 1)) & (
-            np.abs(cs[2]) <= h
-        )
-    else:  # elliptic-paraboloid, apex at the low-z face, opening along +z
-        a = _param(spec, "radius")
-        height = _param(spec, "height")
-        t = cs[2] + (height - 1) / 2
-        mask = (t >= 0) & (t <= height - 1) & (cs[0] ** 2 + cs[1] ** 2 <= a**2 * t)
-
+    mask = solid(_centered(grid), *(_param(spec, name) for name in names))
     if not mask.any():
         raise ValueError(f"shape {spec.kind!r} produced no foreground cells")
     for axis in range(mask.ndim):

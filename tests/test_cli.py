@@ -12,6 +12,9 @@ from hypothesis.extra import numpy as hnp
 from slicethin.cli import _UsageError, build_parser, main
 from slicethin.formats import read_pattern, write_ndbin, write_pbm, write_pattern
 from slicethin.metrics import CSV_HEADER
+from slicethin.shapes import ShapeSpec, generate
+
+from helpers import SHAPE_DIGESTS
 
 
 @pytest.fixture
@@ -162,6 +165,23 @@ class TestMetricsCommand:
 
 
 class TestGenCommand:
+    @pytest.mark.parametrize("kind, grid, params", [row[:3] for row in SHAPE_DIGESTS])
+    def test_every_kind_matches_library(self, tmp_path, kind, grid, params):
+        out = tmp_path / ("s.pbm" if len(grid) == 2 else "s.ndbin")
+        argv = ["gen", "--shape", kind, "--grid", "x".join(map(str, grid)), "--output", str(out)]
+        for name, value in params.items():
+            argv += [f"--{name}", str(value)]
+        assert main(argv) == 0
+        assert np.array_equal(read_pattern(out), generate(ShapeSpec(kind, grid, params)))
+
+    def test_3d_pattern_to_pbm_is_format_error(self, cube, tmp_path, capsys):
+        out = tmp_path / "o.pbm"
+        assert main(["thin", "--algo", "nd", "--input", str(cube), "--output", str(out)]) == 2
+        assert main(["gen", "--shape", "sphere", "--radius", "2", "--grid", "7x7x7",
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err.count("error: PBM holds 2D patterns only") == 2
+        assert not out.exists()
+
     def test_square(self, tmp_path):
         out = tmp_path / "s.pbm"
         code = main(["gen", "--shape", "square", "--side", "5",
@@ -223,8 +243,17 @@ class TestGenCommand:
          "--schedule applies to --algo nd only"),
         (["gen", "--shape", "disc", "--radius", "0", "--grid", "9x9", "--output", "{out}"],
          "'radius' must be positive"),
+        (["gen", "--shape", "disc", "--radius", "3", "--side", "40", "--grid", "9x9",
+          "--output", "{out}"], "'disc' takes radius, not 'side'"),
+        (["gen", "--shape", "disc", "--radius", "3", "--grid", "9x9", "--rugged", "1.5",
+          "--output", "{out}"], "probability must be in"),
+        (["gen", "--shape", "disc", "--radius", "3", "--grid", "9x9", "--rugged", "nan",
+          "--output", "{out}"], "probability must be in"),
+        (["gen", "--shape", "disc", "--radius", "3", "--grid", "9x9", "--rugged", "0.2",
+          "--seed", "-1", "--output", "{out}"], "non-negative"),
     ],
-    ids=["no-algos", "unknown-algo", "negative-iterations", "schedule-with-zs", "zero-radius"],
+    ids=["no-algos", "unknown-algo", "negative-iterations", "schedule-with-zs", "zero-radius",
+         "parameter-of-another-kind", "rugged-above-one", "rugged-nan", "negative-seed"],
 )
 def test_usage_error(square7, tmp_path, capsys, argv, message):
     """Bad arguments raise the CLI's usage error: exit 2, an error line and no output."""

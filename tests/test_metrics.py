@@ -138,6 +138,9 @@ class TestEvaluate:
         assert len(row.split(",")) == len(CSV_HEADER.split(","))
         assert row == "zs,1,1,1,0,1,1"
 
+    def test_csv_header_is_the_documented_schema(self):
+        assert CSV_HEADER == "algorithm,s_r,m_t,n,component_delta,area_input,area_skeleton"
+
     def test_warns_on_non_subset(self):
         inp = np.zeros((3, 3), bool)
         inp[1, 1] = True

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from slicethin.shapes import (
     generate,
     ruggedize,
 )
+
+from helpers import SHAPE_DIGESTS
 
 
 def spec(kind, grid, **params):
@@ -56,6 +60,19 @@ class TestGenerate:
     def test_missing_parameter(self):
         with pytest.raises(ValueError):
             generate(spec("disc", (7, 7)))
+
+    def test_parameter_of_another_kind(self):
+        with pytest.raises(ValueError, match="'disc' takes radius, not 'side'"):
+            generate(spec("disc", (9, 9), radius=3, side=40))
+
+    @pytest.mark.parametrize("kind, grid, params, digest", SHAPE_DIGESTS)
+    def test_pinned_mask(self, kind, grid, params, digest):
+        p = generate(ShapeSpec(kind, grid, params))
+        assert p.dtype == bool and p.shape == grid
+        assert hashlib.sha256(p.tobytes()).hexdigest() == digest
+
+    def test_pinned_masks_cover_every_kind(self):
+        assert sorted({row[0] for row in SHAPE_DIGESTS}) == sorted(KINDS_2D + KINDS_3D)
 
     def test_wrong_grid_rank(self):
         with pytest.raises(ValueError):
