@@ -1,9 +1,17 @@
-/* One nd deletion sub-cycle in C: the scan and the plane test of the Python
- * kernel (thinning._python_subcycle), in place on the zero-padded C-order
- * pattern that thin allocates once per run. The strides and the plane
- * offsets are built here, once per call, from the padded shape.
+/* The C kernels of slicethin, loaded by _native.
+ *
+ * slicethin_subcycle: one nd deletion sub-cycle, the scan and the plane test
+ * of the Python kernel (thinning._python_subcycle), in place on the
+ * zero-padded C-order pattern that thin allocates once per run. The strides
+ * and the plane offsets are built here, once per call, from the padded shape.
+ *
+ * slicethin_sweep: a whole Zhang-Suen or Guo-Hall run, the mark-then-sweep
+ * loop of the numpy driver (baselines._numpy_thin), coding only the pixels
+ * of a contour list instead of every pixel of the image.
  */
 #include <stddef.h>
+#include <stdint.h>
+#include <string.h>
 
 #define MAX_DIMS 8     /* pattern._MAX_DIMS; thin rejects larger k */
 #define MAX_PLANE 2187 /* 3^(MAX_DIMS - 1): the cells of a plane cube */
@@ -105,4 +113,81 @@ ptrdiff_t slicethin_subcycle(unsigned char *buf, int ndim, const ptrdiff_t *shap
         if (d < 0)
             return deleted;
     }
+}
+
+/* The bits of a sweep's buffer cell. */
+#define FG 1     /* foreground */
+#define LISTED 2 /* in the contour list */
+#define MARKED 4 /* deletable in this sub-iteration */
+
+/* buf is the zero-padded rows x cols C-order pattern, one byte of 0 or 1 a
+ * cell; tables holds the two sub-iterations' 256-entry deletability tables,
+ * indexed by the code of P2..P9 (bit i is P(i+2)). list is scratch for one
+ * flat index per pattern cell. Returns the number of iterations, the last
+ * one deleting nothing; buf holds the skeleton, again as 0 or 1.
+ *
+ * The list holds every foreground pixel with a background 8-neighbour, and
+ * maybe more: a pixel with 8 foreground neighbours has BP = 8 for ZS and
+ * CP = 0 for GH, so neither rule can delete it. A sub-iteration marks the
+ * listed pixels whose code, read from the FG bits alone, hits the table, so
+ * every code sees the frozen image; then it deletes the marked pixels. The
+ * next list is the unmarked pixels of this one plus the foreground
+ * neighbours of the deleted ones, which the LISTED bit keeps from being
+ * listed twice. Those neighbours are foreground pixels not yet listed, so
+ * they fit in list after the current entries. */
+ptrdiff_t slicethin_sweep(unsigned char *buf, ptrdiff_t rows, ptrdiff_t cols,
+                          const unsigned char *tables, int32_t *list)
+{
+    /* P2..P9: north, then clockwise. */
+    const ptrdiff_t ring[8] = {-cols, 1 - cols, 1, cols + 1, cols, cols - 1, -1, -cols - 1};
+    ptrdiff_t n = 0, iterations = 0, r;
+    int changed = 1, k;
+    /* Only interior cells can be foreground, so their neighbours are in bounds. */
+    for (ptrdiff_t i = cols + 1; i < (rows - 1) * cols - 1; i++)
+        if (buf[i])
+            for (k = 0; k < 8; k++)
+                if (!buf[i + ring[k]]) {
+                    buf[i] |= LISTED;
+                    list[n++] = (int32_t)i;
+                    break;
+                }
+    while (changed) {
+        iterations++;
+        changed = 0;
+        for (const unsigned char *table = tables; table < tables + 512; table += 256) {
+            ptrdiff_t kept = 0, added = 0;
+            int marked = 0;
+            for (r = 0; r < n; r++) {
+                ptrdiff_t i = list[r];
+                unsigned code = 0;
+                for (k = 0; k < 8; k++)
+                    code |= (unsigned)(buf[i + ring[k]] & FG) << k;
+                if (table[code]) {
+                    buf[i] |= MARKED;
+                    marked = 1;
+                }
+            }
+            if (!marked)
+                continue;
+            changed = 1;
+            for (r = 0; r < n; r++) {
+                ptrdiff_t i = list[r];
+                if (!(buf[i] & MARKED)) {
+                    list[kept++] = (int32_t)i;
+                    continue;
+                }
+                buf[i] = 0;
+                for (k = 0; k < 8; k++)
+                    if (buf[i + ring[k]] == FG) {
+                        buf[i + ring[k]] = FG | LISTED;
+                        list[n + added++] = (int32_t)(i + ring[k]);
+                    }
+            }
+            memmove(list + kept, list + n, (size_t)added * sizeof *list);
+            n = kept + added;
+        }
+    }
+    for (r = 0; r < n; r++)
+        buf[list[r]] = FG;
+    return iterations;
 }

@@ -1,4 +1,8 @@
-"""The C sub-cycle of ``_kernel.c``: built with the system ``cc`` on first use.
+"""The C kernels of ``_kernel.c``: built with the system ``cc`` on first use.
+
+``load`` builds or finds the library once per process and hands the loaded
+library to ``thinning`` and ``baselines``, which each bind and type their
+own entry point on their first use of it.
 
 The library is cached in ``$XDG_CACHE_HOME/slicethin`` (default
 ``~/.cache/slicethin``), or, where that cannot be written, in
@@ -7,7 +11,7 @@ compile command and the machine type, so a changed source gets a new build.
 Each build goes to a temporary file that is renamed into place, so
 processes that build at the same time never load a half-written library.
 Where there is no compiler, or the build or the load fails, ``load`` gives
-None and the Python kernel runs instead.
+None: the Python ``nd`` kernel and the numpy ZS/GH driver run instead.
 """
 
 from __future__ import annotations
@@ -20,29 +24,21 @@ import stat
 import subprocess
 import tempfile
 from contextlib import suppress
+from functools import lru_cache
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 
 
+@lru_cache(maxsize=1)
 def load():
-    """The C sub-cycle as ``f(padded, axis, directions) -> cells deleted``,
-    or None where the Python kernel is to run. It passes the buffer and its
-    shape only; the C code builds its own strides and plane offsets."""
+    """The loaded library as a ``ctypes.CDLL``, or None where the Python
+    and numpy paths are to run. Built, found and loaded once per process."""
     try:
-        fn = ctypes.CDLL(str(_library())).slicethin_subcycle
+        return ctypes.CDLL(str(_library()))
     except (OSError, subprocess.SubprocessError):
         return None
-    fn.restype = ctypes.c_ssize_t
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(ctypes.c_ssize_t),
-                   ctypes.c_int, ctypes.c_int, ctypes.c_int)
-
-    def subcycle(padded, axis, directions):
-        return fn(padded.ctypes.data, padded.ndim, padded.ctypes.shape_as(ctypes.c_ssize_t),
-                  axis, "f" in directions, "b" in directions)
-
-    return subcycle
 
 
 def _library():

@@ -97,6 +97,8 @@ def _param(spec, name):
         value = spec.params[name]
     except KeyError:
         raise ValueError(f"shape {spec.kind!r} requires parameter {name!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"parameter {name!r} must be finite, got {value}")
     if value <= 0:
         raise ValueError(f"parameter {name!r} must be positive")
     return value

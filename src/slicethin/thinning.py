@@ -104,11 +104,27 @@ def thin_subcycle(padded, axis, directions):
 def _native_subcycle():
     """The C sub-cycle, or None to run ``_python_subcycle``.
 
-    Looked up on the first sub-cycle, not at import, because it may compile.
+    Bound on the first sub-cycle, not at import, because the load may
+    compile. The C code gets the buffer and its shape only, and builds its
+    own strides and plane offsets.
     """
+    import ctypes
+
     from . import _native
 
-    return _native.load()
+    lib = _native.load()
+    if lib is None:
+        return None
+    fn = lib.slicethin_subcycle
+    fn.restype = ctypes.c_ssize_t
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(ctypes.c_ssize_t),
+                   ctypes.c_int, ctypes.c_int, ctypes.c_int)
+
+    def subcycle(padded, axis, directions):
+        return fn(padded.ctypes.data, padded.ndim, padded.ctypes.shape_as(ctypes.c_ssize_t),
+                  axis, "f" in directions, "b" in directions)
+
+    return subcycle
 
 
 def _python_subcycle(view, axis, directions):

@@ -1,6 +1,6 @@
 import pytest
 
-from slicethin import thinning
+from slicethin import baselines, thinning
 
 
 def _python_kernel():
@@ -19,3 +19,16 @@ def _python_kernel():
 # The same fixture for a test class and for a whole module.
 python_kernel = pytest.fixture(scope="class")(_python_kernel)
 python_kernel_module = pytest.fixture(scope="module")(_python_kernel)
+
+
+@pytest.fixture(scope="class")
+def numpy_baselines():
+    """Run the numpy ZS/GH driver in place of the C sweep.
+
+    Skipped where the automatic choice is the numpy driver already.
+    """
+    if baselines._native_sweep() is None:
+        pytest.skip("the automatic ZS/GH backend is numpy")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baselines, "_native_sweep", lambda: None)
+        yield

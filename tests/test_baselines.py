@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hyp
+from hypothesis.extra import numpy as hnp
 
 from slicethin import baselines
 from slicethin.baselines import gh_thin, zs_thin
@@ -84,6 +87,11 @@ class TestZhangSuen:
         assert np.array_equal(zs_thin(p)[0], sk)
 
 
+@pytest.mark.usefixtures("numpy_baselines")
+class TestZhangSuenNumpy(TestZhangSuen):
+    """The Zhang-Suen tests under the numpy driver, where the plain run used C."""
+
+
 class TestGuoHall:
     def test_single_pixel_unchanged(self):
         arr = np.zeros((3, 3), bool)
@@ -125,6 +133,11 @@ class TestGuoHall:
         assert np.array_equal(gh_thin(p)[0], sk)
 
 
+@pytest.mark.usefixtures("numpy_baselines")
+class TestGuoHallNumpy(TestGuoHall):
+    """The Guo-Hall tests under the numpy driver, where the plain run used C."""
+
+
 # P2..P9 around the centre (2, 2) of a 5x5 grid; bit i of a ring code is P(i+2).
 RING = ((1, 2), (1, 3), (2, 3), (3, 3), (3, 2), (3, 1), (2, 1), (1, 1))
 
@@ -144,6 +157,12 @@ def test_every_ring_code_matches_oracle(thin_fn, oracle):
         assert it == oracle_it, code
 
 
+@pytest.mark.usefixtures("numpy_baselines")
+@pytest.mark.parametrize("thin_fn, oracle", [(zs_thin, zs_oracle), (gh_thin, gh_oracle)])
+def test_every_ring_code_matches_oracle_numpy(thin_fn, oracle):
+    test_every_ring_code_matches_oracle(thin_fn, oracle)
+
+
 @pytest.mark.parametrize(
     "tables, deletable",
     [(baselines._ZS_TABLES, zs_deletable_oracle), (baselines._GH_TABLES, gh_deletable_oracle)],
@@ -153,3 +172,91 @@ def test_tables_match_oracle_rule(tables, deletable):
         for code in range(256):
             ring = tuple(bool(code >> i & 1) for i in range(8))
             assert table[code] == deletable(ring, sub), (sub, code)
+
+
+RULES = {"zs": (zs_thin, zs_oracle), "gh": (gh_thin, gh_oracle)}
+
+# TestDriverDifferentialNumpy runs these tests again from a subclass, which
+# Hypothesis sees as a second executor; both drivers must pass the same
+# examples, so sharing them is what is wanted.
+_DIFFERENTIAL = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.differing_executors]
+)
+
+
+def assert_matches_oracle(rule, pattern):
+    """The driver's result against the scalar oracle, and the input untouched."""
+    thin_fn, oracle = RULES[rule]
+    before = np.array(pattern, copy=True)
+    sk, it = thin_fn(pattern)
+    assert sk.dtype == bool and sk.shape == np.shape(pattern) and sk.flags.c_contiguous
+    assert (foreground_coords(sk), it) == oracle(foreground_coords(before), before.shape)
+    assert np.array_equal(pattern, before)
+    return sk, it
+
+
+class TestDriverDifferential:
+    @given(
+        hyp.sampled_from(sorted(RULES)),
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+        hyp.floats(0.1, 0.95),
+        hyp.integers(0, 2**32 - 1),
+    )
+    @_DIFFERENTIAL
+    def test_matches_oracle(self, rule, shape, density, seed):
+        """Random patterns up to 40 x 40: skeleton and iteration count."""
+        assert_matches_oracle(rule, random_pattern(shape, density, seed))
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_zero_size(self, rule):
+        assert assert_matches_oracle(rule, np.zeros((0, 5), bool))[1] == 1
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_all_background(self, rule):
+        sk, it = assert_matches_oracle(rule, np.zeros((7, 9), bool))
+        assert it == 1 and not sk.any()
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (9, 12)])
+    def test_all_foreground(self, rule, shape):
+        assert_matches_oracle(rule, np.ones(shape, bool))
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_fortran_order(self, rule):
+        pattern = np.asfortranarray(random_pattern((13, 21), 0.7, 3))
+        assert_matches_oracle(rule, pattern)
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_int_input(self, rule):
+        assert_matches_oracle(rule, random_pattern((17, 11), 0.7, 4).astype(int))
+
+
+@pytest.mark.usefixtures("numpy_baselines")
+class TestDriverDifferentialNumpy(TestDriverDifferential):
+    """The differential tests under the numpy driver, where the plain run used C."""
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_thick_shapes_match_numpy(rule):
+    """Solid and holed shapes whose contour moves far, too large for the
+    oracle: the automatic driver against the numpy one."""
+    yy, xx = np.mgrid[:90, :120]
+    disc = (yy - 45) ** 2 + (xx - 60) ** 2 < 40**2
+    ring = disc & ((yy - 45) ** 2 + (xx - 60) ** 2 >= 12**2)
+    tables = baselines._ZS_TABLES if rule == "zs" else baselines._GH_TABLES
+    for pattern in (disc, ring, np.pad(np.ones((60, 70), bool), 3)):
+        sk, it = RULES[rule][0](pattern)
+        expected, expected_it = baselines._numpy_thin(pattern, tables)
+        assert np.array_equal(sk, expected) and it == expected_it
+
+
+def test_above_max_cells_runs_numpy(monkeypatch):
+    # The C list holds int32 indices, so a pattern above the cell cap that
+    # the readers and generators apply goes to the numpy driver.
+    def no_sweep(img, tables):
+        raise AssertionError("the C sweep ran above the cell cap")
+
+    monkeypatch.setattr(baselines, "_native_sweep", lambda: no_sweep)
+    monkeypatch.setattr(baselines, "_MAX_CELLS", 15)
+    sk, it = zs_thin(np.ones((4, 4), bool))
+    assert foreground_coords(sk) == {(1, 1)} and it == 3

@@ -251,9 +251,16 @@ class TestGenCommand:
           "--output", "{out}"], "probability must be in"),
         (["gen", "--shape", "disc", "--radius", "3", "--grid", "9x9", "--rugged", "0.2",
           "--seed", "-1", "--output", "{out}"], "non-negative"),
+        (["gen", "--shape", "disc", "--radius", "nan", "--grid", "9x9", "--output", "{out}"],
+         "'radius' must be finite, got nan"),
+        (["gen", "--shape", "triangle", "--base", "5", "--height", "inf", "--grid", "9x9",
+          "--output", "{out}"], "'height' must be finite, got inf"),
+        (["gen", "--shape", "disc", "--radius=-inf", "--grid", "9x9", "--output", "{out}"],
+         "'radius' must be finite, got -inf"),
     ],
     ids=["no-algos", "unknown-algo", "negative-iterations", "schedule-with-zs", "zero-radius",
-         "parameter-of-another-kind", "rugged-above-one", "rugged-nan", "negative-seed"],
+         "parameter-of-another-kind", "rugged-above-one", "rugged-nan", "negative-seed",
+         "radius-nan", "height-inf", "radius-minus-inf"],
 )
 def test_usage_error(square7, tmp_path, capsys, argv, message):
     """Bad arguments raise the CLI's usage error: exit 2, an error line and no output."""

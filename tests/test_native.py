@@ -11,26 +11,38 @@ import numpy as np
 import pytest
 
 import slicethin
-from slicethin import _native, thinning
+from slicethin import _native, baselines, thinning
 from slicethin.pattern import _MAX_DIMS
 from slicethin.thinning import thin
 
-from oracles import foreground_coords, thin_oracle
+from oracles import foreground_coords, thin_oracle, zs_oracle
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 # One random 3D case; the oracle's result is the skeleton every backend must give.
 PATTERN = np.random.default_rng(5).random((6, 7, 5)) < 0.6
 EXPECTED = thin_oracle(foreground_coords(PATTERN), PATTERN.shape)
+PATTERN_2D = np.random.default_rng(6).random((9, 11)) < 0.7
+EXPECTED_ZS = zs_oracle(foreground_coords(PATTERN_2D), PATTERN_2D.shape)
 
 
 def native_loaded():
-    return thinning._native_subcycle() is not None
+    """Whether the C kernels loaded; both bindings must agree."""
+    loaded = thinning._native_subcycle() is not None
+    assert (baselines._native_sweep() is not None) == loaded
+    return loaded
 
 
 def thinned(pattern):
     sk, it = thin(pattern)
+    zs_sk, zs_it = baselines.zs_thin(PATTERN_2D)
+    assert (foreground_coords(zs_sk), zs_it) == EXPECTED_ZS
     return foreground_coords(sk), it
+
+
+def forget_kernels():
+    for cached in (_native.load, thinning._native_subcycle, baselines._native_sweep):
+        cached.cache_clear()
 
 
 @pytest.fixture
@@ -38,9 +50,9 @@ def kernel(monkeypatch, tmp_path):
     """Forget the loaded backend before and after the test; builds are
     cached under tmp_path."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    thinning._native_subcycle.cache_clear()
+    forget_kernels()
     yield
-    thinning._native_subcycle.cache_clear()
+    forget_kernels()
 
 
 @needs_cc
@@ -153,9 +165,31 @@ def test_kernel_sized_for_max_dims():
 def test_import_loads_no_kernel():
     # numpy may import ctypes itself; slicethin must add neither ctypes nor
     # the kernel loader, which would slow every CLI start.
-    added = run_python(
-        "import sys, numpy, scipy.ndimage; before = set(sys.modules); import slicethin; "
-        "print(*sorted(set(sys.modules) - before))"
-    )
-    assert "ctypes" not in added and "subprocess" not in added
-    assert "slicethin._native" not in added
+    for module in ("slicethin", "slicethin.baselines"):
+        added = run_python(
+            f"import sys, numpy, scipy.ndimage; before = set(sys.modules); import {module}; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        assert "ctypes" not in added and "subprocess" not in added, module
+        assert "slicethin._native" not in added, module
+
+
+# Counts the source hashes and library loads of one process that runs every kernel.
+COUNT_LOADS = """
+import ctypes
+import numpy as np
+from slicethin import _native, gh_thin, thin, zs_thin
+calls = []
+library, cdll = _native._library, ctypes.CDLL
+_native._library = lambda: calls.append("hash") or library()
+ctypes.CDLL = lambda *a, **k: calls.append("load") or cdll(*a, **k)
+disc = np.add.outer(np.arange(-9, 10) ** 2, np.arange(-9, 10) ** 2) < 64
+for _ in range(2):
+    zs_thin(disc), gh_thin(disc), thin(disc), thin(disc[None])
+print(*sorted(calls))
+"""
+
+
+@needs_cc
+def test_one_load_per_process(tmp_path):
+    assert run_python(COUNT_LOADS, XDG_CACHE_HOME=str(tmp_path)) == ["hash", "load"]

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,19 @@ class TestGenerate:
     def test_parameter_of_another_kind(self):
         with pytest.raises(ValueError, match="'disc' takes radius, not 'side'"):
             generate(spec("disc", (9, 9), radius=3, side=40))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind, params, name", [
+        ("disc", {}, "radius"),
+        ("triangle", {"base": 5}, "height"),
+        ("cylinder", {"radius": 2}, "height"),
+    ])
+    def test_non_finite_parameter(self, kind, params, name, value):
+        grid = (9, 9, 9) if kind == "cylinder" else (9, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the error
+            with pytest.raises(ValueError, match=f"{name!r} must be finite, got {value}"):
+                generate(ShapeSpec(kind, grid, {**params, name: float(value)}))
 
     @pytest.mark.parametrize("kind, grid, params, digest", SHAPE_DIGESTS)
     def test_pinned_mask(self, kind, grid, params, digest):
