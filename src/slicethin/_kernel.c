@@ -8,6 +8,10 @@
  * slicethin_sweep: a whole Zhang-Suen or Guo-Hall run, the mark-then-sweep
  * loop of the numpy driver (baselines._numpy_thin), coding only the pixels
  * of a contour list instead of every pixel of the image.
+ *
+ * slicethin_components: the number of (3^k - 1)-connected foreground
+ * components, by a flood fill over the runs along the last axis of the
+ * zero-padded pattern; pattern._numpy_components is the fallback.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -190,4 +194,71 @@ ptrdiff_t slicethin_sweep(unsigned char *buf, ptrdiff_t rows, ptrdiff_t cols,
     for (r = 0; r < n; r++)
         buf[list[r]] = FG;
     return iterations;
+}
+
+/* The run through the unvisited foreground cell j: marks it visited (2)
+ * and returns its start. */
+static ptrdiff_t visit(unsigned char *buf, ptrdiff_t j)
+{
+    ptrdiff_t start = j;
+    while (buf[start - 1])
+        start--;
+    for (j = start; buf[j]; j++)
+        buf[j] = 2;
+    return start;
+}
+
+/* buf is the zero-padded C-order pattern, one byte of 0 or 1 a cell, and
+ * shape its padded shape; stack is scratch for the start index of every run
+ * along the last axis. Returns the number of (3^k - 1)-connected foreground
+ * components; buf is left with 2 on every foreground cell.
+ *
+ * A fill starts at each unvisited foreground cell, in index order. A run is
+ * marked visited when it is pushed, so it is pushed once. Cells l - 1 .. r + 1
+ * of each of the 3^(k-1) - 1 neighbouring lines hold every cell adjacent to
+ * the run [l, r] there, so popping it pushes the unvisited runs among them. */
+ptrdiff_t slicethin_components(unsigned char *buf, int ndim, const ptrdiff_t *shape,
+                               ptrdiff_t *stack)
+{
+    ptrdiff_t strides[MAX_DIMS], lines[MAX_PLANE], size = 1, n, count = 0;
+    int d;
+    if (ndim > MAX_DIMS) /* the arrays above are sized for MAX_DIMS */
+        return -1;
+    for (d = ndim - 1; d >= 0; d--) {
+        strides[d] = size;
+        size *= shape[d];
+    }
+    /* The plane loop of slicethin_subcycle over the line axes, kept apart:
+     * a shared helper changed the sub-cycle's code and slowed nd thinning of
+     * a 40^3 sphere by 13-27% (gcc 12.2, -O2). */
+    n = 1;
+    for (d = 0; d < ndim - 1; d++)
+        n *= 3;
+    for (ptrdiff_t j = 0; j < n; j++) { /* base-3 digits of j, less 1, last line axis lowest */
+        ptrdiff_t r = j;
+        lines[j] = 0;
+        for (d = ndim - 2; d >= 0; d--) {
+            lines[j] += (r % 3 - 1) * strides[d];
+            r /= 3;
+        }
+    }
+    lines[n / 2] = lines[n - 1]; /* the run's own line is not a neighbour */
+    n--;
+    for (ptrdiff_t i = 0; i < size; i++) {
+        if (buf[i] != 1)
+            continue;
+        ptrdiff_t top = 0;
+        count++;
+        stack[top++] = visit(buf, i);
+        while (top) {
+            ptrdiff_t l = stack[--top], r = l;
+            while (buf[r + 1])
+                r++;
+            for (ptrdiff_t j = 0; j < n; j++)
+                for (ptrdiff_t c = l - 1 + lines[j]; c <= r + 1 + lines[j]; c++)
+                    if (buf[c] == 1)
+                        stack[top++] = visit(buf, c);
+        }
+    }
+    return count;
 }

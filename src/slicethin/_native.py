@@ -1,8 +1,10 @@
 """The C kernels of ``_kernel.c``: built with the system ``cc`` on first use.
 
 ``load`` builds or finds the library once per process and hands the loaded
-library to ``thinning`` and ``baselines``, which each bind and type their
-own entry point on their first use of it.
+library to ``thinning``, ``baselines`` and ``pattern``, which each bind and
+type their own entry point on their first use of it. No module imports this
+one at import time, so ``import slicethin`` loads neither it nor ctypes,
+subprocess or hashlib for it.
 
 The library is cached in ``$XDG_CACHE_HOME/slicethin`` (default
 ``~/.cache/slicethin``), or, where that cannot be written, in
@@ -11,7 +13,8 @@ compile command and the machine type, so a changed source gets a new build.
 Each build goes to a temporary file that is renamed into place, so
 processes that build at the same time never load a half-written library.
 Where there is no compiler, or the build or the load fails, ``load`` gives
-None: the Python ``nd`` kernel and the numpy ZS/GH driver run instead.
+None: the Python ``nd`` kernel, the numpy ZS/GH driver and the numpy
+component counter run instead.
 """
 
 from __future__ import annotations

@@ -3,12 +3,20 @@
 Patterns are plain numpy bool arrays of ndim >= 2, row-major, last axis
 fastest-varying. Cells outside the array are treated as background
 everywhere in this package.
+
+``component_count`` runs in C (``slicethin_components`` in ``_kernel.c``,
+loaded by ``_native`` on the first count) where a C compiler builds it: a
+flood fill over the runs along the last axis. Otherwise, and above
+``_MAX_DIMS`` dimensions, ``_numpy_components`` hooks the edges of one
+forward offset at a time; the two give the same counts.
 """
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
+
 import numpy as np
-from scipy import ndimage
 
 # The most cells a pattern may have when read from a file or generated.
 _MAX_CELLS = 10**8
@@ -40,6 +48,75 @@ def as_pattern(data) -> np.ndarray:
 def component_count(pattern) -> int:
     """Count foreground components under (3^k - 1)-adjacency (8-connectivity in 2D)."""
     arr = as_pattern(pattern)
-    structure = np.ones((3,) * arr.ndim, dtype=bool)
-    _, count = ndimage.label(arr, structure=structure)
+    # np.zeros, not np.pad, which would keep a Fortran-order input's order.
+    padded = np.zeros(np.add(arr.shape, 2), np.uint8)
+    padded[(slice(1, -1),) * arr.ndim] = arr
+    count = _native_components()
+    if count is None or arr.ndim > _MAX_DIMS:  # the C arrays are sized for _MAX_DIMS
+        return _numpy_components(padded)
+    return count(padded)
+
+
+@lru_cache(maxsize=1)
+def _native_components():
+    """The C run fill, or None to run ``_numpy_components``.
+
+    Bound on the first count, not at import, because the load may compile.
+    """
+    import ctypes
+
+    from . import _native
+
+    lib = _native.load()
+    if lib is None:
+        return None
+    fn = lib.slicethin_components
+    fn.restype = ctypes.c_ssize_t
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(ctypes.c_ssize_t),
+                   ctypes.c_void_p)
+
+    def count(padded):
+        # One stack entry per run. Every line starts with a padding zero, so
+        # the run starts of the flat buffer are those of its lines.
+        flat = padded.ravel()
+        stack = np.empty(np.count_nonzero(flat[1:] > flat[:-1]), np.intp)
+        return fn(padded.ctypes.data, padded.ndim, padded.ctypes.shape_as(ctypes.c_ssize_t),
+                  stack.ctypes.data)
+
     return count
+
+
+def _numpy_components(padded):
+    """Count components of the zero-padded pattern by edge hooking.
+
+    Every cell starts as its own root. For one forward offset at a time,
+    each foreground pair it links with different roots hooks the larger root
+    onto the smaller (``np.minimum.at``), and pointer jumping then points
+    every foreground cell at its root again. Rounds over all offsets repeat
+    until none hooks. Only one offset's pairs are held at a time, so memory
+    stays O(cells).
+    """
+    fg = padded.view(bool).ravel()
+    cells = np.flatnonzero(fg)
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=padded.ndim)))
+    offsets = steps @ padded.strides  # one byte a cell
+    root = np.arange(fg.size)
+    hooked = True
+    while hooked:
+        hooked = False
+        for o in offsets[offsets > 0]:
+            # The padding keeps cells + o in bounds.
+            lo = cells[fg[cells + o]]
+            a, b = root[lo], root[lo + o]
+            differ = a != b
+            if not differ.any():
+                continue
+            hooked = True
+            np.minimum.at(root, np.maximum(a, b)[differ], np.minimum(a, b)[differ])
+            parent = root[cells]
+            while True:
+                jumped = root[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                root[cells] = parent = jumped
+    return int(np.count_nonzero(root[cells] == cells))

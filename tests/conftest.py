@@ -1,6 +1,6 @@
 import pytest
 
-from slicethin import baselines, thinning
+from slicethin import baselines, pattern, thinning
 
 
 def _python_kernel():
@@ -31,4 +31,17 @@ def numpy_baselines():
         pytest.skip("the automatic ZS/GH backend is numpy")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(baselines, "_native_sweep", lambda: None)
+        yield
+
+
+@pytest.fixture(scope="class")
+def numpy_components():
+    """Count components with numpy in place of the C run fill.
+
+    Skipped where the automatic component counter is numpy already.
+    """
+    if pattern._native_components() is None:
+        pytest.skip("the automatic component counter is numpy")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pattern, "_native_components", lambda: None)
         yield

@@ -1,5 +1,6 @@
 """Building, caching and loading the C kernel, and falling back from it."""
 
+import json
 import os
 import re
 import shutil
@@ -11,11 +12,11 @@ import numpy as np
 import pytest
 
 import slicethin
-from slicethin import _native, baselines, thinning
-from slicethin.pattern import _MAX_DIMS
+from slicethin import _native, baselines, pattern, thinning
+from slicethin.pattern import _MAX_DIMS, component_count
 from slicethin.thinning import thin
 
-from oracles import foreground_coords, thin_oracle, zs_oracle
+from oracles import components_oracle, foreground_coords, thin_oracle, zs_oracle
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
@@ -24,24 +25,28 @@ PATTERN = np.random.default_rng(5).random((6, 7, 5)) < 0.6
 EXPECTED = thin_oracle(foreground_coords(PATTERN), PATTERN.shape)
 PATTERN_2D = np.random.default_rng(6).random((9, 11)) < 0.7
 EXPECTED_ZS = zs_oracle(foreground_coords(PATTERN_2D), PATTERN_2D.shape)
+EXPECTED_COUNT = components_oracle(foreground_coords(PATTERN), PATTERN.shape)
 
 
 def native_loaded():
-    """Whether the C kernels loaded; both bindings must agree."""
+    """Whether the C kernels loaded; all three bindings must agree."""
     loaded = thinning._native_subcycle() is not None
     assert (baselines._native_sweep() is not None) == loaded
+    assert (pattern._native_components() is not None) == loaded
     return loaded
 
 
-def thinned(pattern):
-    sk, it = thin(pattern)
+def thinned(arr):
+    sk, it = thin(arr)
     zs_sk, zs_it = baselines.zs_thin(PATTERN_2D)
     assert (foreground_coords(zs_sk), zs_it) == EXPECTED_ZS
+    assert component_count(PATTERN) == EXPECTED_COUNT
     return foreground_coords(sk), it
 
 
 def forget_kernels():
-    for cached in (_native.load, thinning._native_subcycle, baselines._native_sweep):
+    for cached in (_native.load, thinning._native_subcycle, baselines._native_sweep,
+                   pattern._native_components):
         cached.cache_clear()
 
 
@@ -163,22 +168,72 @@ def test_kernel_sized_for_max_dims():
 
 
 def test_import_loads_no_kernel():
-    # numpy may import ctypes itself; slicethin must add neither ctypes nor
-    # the kernel loader, which would slow every CLI start.
-    for module in ("slicethin", "slicethin.baselines"):
+    # Import must not load scipy, nor the kernel loader and what only it
+    # needs (subprocess, hashlib), which would slow every CLI start. ctypes
+    # is not checked: a bare `import numpy` already loads it.
+    for module in ("slicethin", "slicethin.baselines", "slicethin.pattern", "slicethin.cli"):
         added = run_python(
-            f"import sys, numpy, scipy.ndimage; before = set(sys.modules); import {module}; "
+            f"import sys, numpy; before = set(sys.modules); import {module}; "
             "print(*sorted(set(sys.modules) - before))"
         )
-        assert "ctypes" not in added and "subprocess" not in added, module
-        assert "slicethin._native" not in added, module
+        for heavy in ("scipy", "subprocess", "hashlib", "slicethin._native"):
+            assert heavy not in added, (module, heavy)
+
+
+# Runs every CLI command on a disc and an annulus in the working directory,
+# with scipy blocked when argv[1] is "block"; prints exit codes, stdout and
+# the files written.
+CLI_RUN = """
+import contextlib, io, json, sys
+from pathlib import Path
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None  # every import of scipy now fails
+import numpy as np
+from slicethin.cli import main
+from slicethin.formats import write_pattern
+yy, xx = np.mgrid[:30, :30]
+r2 = (yy - 14.5) ** 2 + (xx - 14.5) ** 2
+write_pattern("annulus.pbm", (r2 < 13**2) & (r2 >= 5**2))
+argvs = [["gen", "--shape", "disc", "--radius", "9", "--grid", "25x25", "--output", "disc.pbm"]]
+for name in ("disc", "annulus"):
+    for algo in ("nd", "zs", "gh"):
+        argvs.append(["thin", "--algo", algo, "--input", f"{name}.pbm",
+                      "--output", f"{name}-{algo}.pbm", "--metrics"])
+argvs += [["compare", "--input", "disc.pbm", "annulus.pbm", "--algos", "zs,gh,nd"],
+          ["metrics", "--input", "annulus.pbm", "--skeleton", "annulus-gh.pbm",
+           "--iterations", "4", "--algorithm", "gh"]]
+runs = []
+for argv in argvs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([argv, code, out.getvalue()])
+files = {p.name: p.read_text() for p in sorted(Path().iterdir())}
+print(json.dumps({"runs": runs, "files": files,
+                  "scipy": sys.modules.get("scipy") is not None}))
+"""
+
+
+def test_cli_needs_no_scipy(tmp_path):
+    results = []
+    for mode in ("block", "allow"):
+        (tmp_path / mode).mkdir()
+        done = subprocess.run([sys.executable, "-c", CLI_RUN, mode], cwd=tmp_path / mode,
+                              env=child_env(), capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        results.append(json.loads(done.stdout))
+    blocked, allowed = results
+    assert blocked == allowed
+    assert not allowed["scipy"]
+    assert [code for _, code, _ in allowed["runs"]] == [0] * 9
+    assert len(allowed["files"]) == 8
 
 
 # Counts the source hashes and library loads of one process that runs every kernel.
 COUNT_LOADS = """
 import ctypes
 import numpy as np
-from slicethin import _native, gh_thin, thin, zs_thin
+from slicethin import _native, component_count, evaluate, gh_thin, thin, zs_thin
 calls = []
 library, cdll = _native._library, ctypes.CDLL
 _native._library = lambda: calls.append("hash") or library()
@@ -186,6 +241,7 @@ ctypes.CDLL = lambda *a, **k: calls.append("load") or cdll(*a, **k)
 disc = np.add.outer(np.arange(-9, 10) ** 2, np.arange(-9, 10) ** 2) < 64
 for _ in range(2):
     zs_thin(disc), gh_thin(disc), thin(disc), thin(disc[None])
+    component_count(disc), evaluate(disc, thin(disc)[0], 1)
 print(*sorted(calls))
 """
 

@@ -1,8 +1,13 @@
+from itertools import product
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hyp
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
+from slicethin import pattern
 from slicethin.pattern import DimensionError, as_pattern, component_count
 
 from helpers import run_subcycle
@@ -69,7 +74,96 @@ class TestNeighborhood:
         assert len(ball(shape, c)) == expected
 
 
+def label_count(arr):
+    """``ndimage.label``'s count under the 3^k structure: the independent check."""
+    return ndimage.label(arr, structure=np.ones((3,) * arr.ndim, bool))[1]
+
+
+def assert_counts(arr, expected=None):
+    """component_count against ``ndimage.label`` and, below 1,000 cells, the
+    BFS oracle (and ``expected`` where given); the input is left untouched."""
+    arr = np.asarray(arr)
+    before = arr.copy()
+    count = component_count(arr)
+    assert np.array_equal(arr, before)
+    assert count == label_count(arr.astype(bool))
+    if arr.size < 1000:
+        assert count == components_oracle(foreground_coords(arr), arr.shape)
+    if expected is not None:
+        assert count == expected
+
+
+# The longest side drawn per k, so the BFS oracle stays quick.
+_MAX_SIDE = {2: 24, 3: 9, 4: 5, 5: 3, 6: 2, 7: 2, 8: 2}
+
+
+@hyp.composite
+def random_patterns(draw):
+    k = draw(hyp.integers(2, 8))
+    shape = draw(hnp.array_shapes(min_dims=k, max_dims=k, min_side=1, max_side=_MAX_SIDE[k]))
+    arr = random_pattern(shape, draw(hyp.floats(0.05, 0.9)), draw(hyp.integers(0, 2**32 - 1)))
+    return np.asfortranarray(arr) if draw(hyp.booleans()) else arr
+
+
+def touching_pair(step):
+    """Two cells of a 2^k grid whose coordinates differ by ``step``."""
+    arr = np.zeros((2,) * len(step), bool)
+    arr[tuple(int(s < 0) for s in step)] = arr[tuple(int(s > 0) for s in step)] = True
+    return arr
+
+
 class TestConnectedComponents:
+    @given(random_patterns())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
+    def test_matches_label_and_oracle(self, arr):
+        assert_counts(arr)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (3, 0, 4)])
+    def test_zero_size(self, shape):
+        assert_counts(np.zeros(shape, bool), 0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 9), (4, 5, 6), (3,) * 6])
+    def test_all_background(self, shape):
+        assert_counts(np.zeros(shape, bool), 0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (7, 9), (4, 5, 6), (3,) * 8])
+    def test_all_foreground(self, shape):
+        assert_counts(np.ones(shape, bool), 1)
+
+    def test_fortran_order(self):
+        for seed, shape in enumerate([(13, 21), (6, 7, 8), (4, 3, 5, 4)]):
+            assert_counts(np.asfortranarray(random_pattern(shape, 0.35, seed)))
+
+    def test_int_input(self):
+        assert_counts(random_pattern((17, 11), 0.4, 4).astype(int))
+
+    def test_lines(self):
+        line = np.array([[1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1]], bool)
+        assert_counts(line, 4)
+        assert_counts(line.T, 4)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_corner_diagonals(self, k):
+        # Two cells that share only a corner, along each of the 2^(k-1)
+        # diagonals of the k-cube, side by side along the last axis with a
+        # background column between pairs: one component per pair.
+        pairs = [touching_pair((1, *signs)) for signs in product((1, -1), repeat=k - 1)]
+        gap = np.zeros((2,) * (k - 1) + (1,), bool)
+        assert_counts(np.concatenate([c for pair in pairs for c in (pair, gap)], -1), len(pairs))
+
+    @pytest.mark.parametrize("k", range(2, 5))
+    def test_every_neighbour(self, k):
+        # Each of the (3^k - 1) / 2 forward neighbour steps joins two cells.
+        for step in product((-1, 0, 1), repeat=k):
+            if step > (0,) * k:
+                assert_counts(touching_pair(step), 1)
+
+    def test_diagonals_of_identity(self):
+        eye = np.eye(50, dtype=bool)
+        assert_counts(eye, 1)
+        assert_counts(eye[::-1], 1)
+
     def test_empty(self):
         assert component_count(np.zeros((5, 5), bool)) == 0
 
@@ -101,3 +195,22 @@ class TestConnectedComponents:
         base = component_count(p)
         for axis in range(p.ndim):
             assert component_count(np.flip(p, axis)) == base
+
+
+@pytest.mark.usefixtures("numpy_components")
+class TestConnectedComponentsNumpy(TestConnectedComponents):
+    """The component tests under the numpy counter, where the plain run used C."""
+
+
+def test_above_max_dims_counts_with_numpy(monkeypatch):
+    # The C kernel's arrays are sized for k <= 8, so a k = 9 pattern goes to numpy.
+    def no_fill(padded):
+        raise AssertionError("the C run fill ran above _MAX_DIMS")
+
+    monkeypatch.setattr(pattern, "_native_components", lambda: no_fill)
+    corners = np.zeros((2,) * 8 + (3,), bool)
+    corners[(0,) * 9] = corners[(1,) * 9] = True
+    assert_counts(corners, 1)
+    corners[(1,) * 9] = False
+    corners[(1,) * 8 + (2,)] = True
+    assert_counts(corners, 2)
