@@ -1,10 +1,12 @@
 """The C kernels of ``_kernel.c``: built with the system ``cc`` on first use.
 
-``load`` builds or finds the library once per process and hands the loaded
-library to ``thinning``, ``baselines`` and ``pattern``, which each bind and
-type their own entry point on their first use of it. No module imports this
-one at import time, so ``import slicethin`` loads neither it nor ctypes,
-subprocess or hashlib for it.
+``load`` builds or finds the library once per process, types its three
+entry points from ``_ENTRY_POINTS`` and returns it. It is the only code
+that knows ctypes: ``thinning``, ``baselines`` and ``pattern`` call
+``load()`` where they need a kernel, not at import, because the load may
+compile, and call the typed function directly. Importing this module loads
+nothing that ``import numpy`` has not loaded already; hashlib is imported
+when the library is first looked for, and subprocess only to compile it.
 
 The library is cached in ``$XDG_CACHE_HOME/slicethin`` (default
 ``~/.cache/slicethin``), or, where that cannot be written, in
@@ -20,11 +22,9 @@ component counter run instead.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import platform
 import stat
-import subprocess
 import tempfile
 from contextlib import suppress
 from functools import lru_cache
@@ -33,19 +33,40 @@ from pathlib import Path
 SOURCE = Path(__file__).with_name("_kernel.c")
 COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 
+_SHAPE = ctypes.POINTER(ctypes.c_ssize_t)  # an ndarray's ``.ctypes.shape``
+# The argument types of each entry point; every one returns a count (ssize_t).
+_ENTRY_POINTS = {
+    # buf, ndim, shape, axis, do_f, do_b
+    "slicethin_subcycle": (ctypes.c_void_p, ctypes.c_int, _SHAPE,
+                           ctypes.c_int, ctypes.c_int, ctypes.c_int),
+    # buf, rows, cols, tables, list
+    "slicethin_sweep": (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
+                        ctypes.c_void_p, ctypes.c_void_p),
+    # buf, ndim, shape, stack
+    "slicethin_components": (ctypes.c_void_p, ctypes.c_int, _SHAPE, ctypes.c_void_p),
+}
+
 
 @lru_cache(maxsize=1)
 def load():
-    """The loaded library as a ``ctypes.CDLL``, or None where the Python
-    and numpy paths are to run. Built, found and loaded once per process."""
+    """The loaded library as a ``ctypes.CDLL`` with its entry points typed,
+    or None where the Python and numpy paths are to run. Built, found and
+    loaded once per process."""
     try:
-        return ctypes.CDLL(str(_library()))
-    except (OSError, subprocess.SubprocessError):
+        lib = ctypes.CDLL(str(_library()))
+    except OSError:
         return None
+    for name, argtypes in _ENTRY_POINTS.items():
+        fn = getattr(lib, name)
+        fn.restype = ctypes.c_ssize_t
+        fn.argtypes = argtypes
+    return lib
 
 
 def _library():
     """The built library's path: found in a cache directory, or compiled into one."""
+    import hashlib
+
     digest = hashlib.sha256(SOURCE.read_bytes())
     digest.update(repr((COMPILE, platform.machine())).encode())
     name = f"kernel-{digest.hexdigest()[:16]}.so"
@@ -58,10 +79,14 @@ def _library():
         except OSError:
             continue  # not writable: try the next directory
         os.close(fd)
+        import subprocess
+
         try:
             subprocess.run([*COMPILE, "-o", tmp, str(SOURCE)], check=True,
                            capture_output=True, text=True, timeout=120)
             os.replace(tmp, path)
+        except subprocess.SubprocessError as error:  # cc failed or hung
+            raise OSError(f"the C kernel did not build: {error}") from error
         finally:
             with suppress(FileNotFoundError):
                 os.unlink(tmp)

@@ -13,12 +13,12 @@ Whether P1 is deletable depends only on P2..P9, so each rule is a scalar
 predicate per sub-iteration, tabulated at import over the 256 neighbor
 codes (bit i of the code is P(i+2)); one driver applies the tables.
 
-The driver runs in C (``slicethin_sweep`` in ``_kernel.c``, loaded by
-``_native`` on the first call) where a C compiler builds it. It codes only
-the pixels of a contour list: at first every foreground pixel with a
-background 8-neighbor, then the pixels of the last list that are still
-foreground plus the foreground neighbors of the pixels just deleted. A
-pixel whose 8 neighbors are all foreground never needs listing: it has
+The driver runs in C (``slicethin_sweep`` of the library that
+``_native.load`` gives on the first call) where a C compiler builds it. It
+codes only the pixels of a contour list: at first every foreground pixel
+with a background 8-neighbor, then the pixels of the last list that are
+still foreground plus the foreground neighbors of the pixels just deleted.
+A pixel whose 8 neighbors are all foreground never needs listing: it has
 BP = 8 for ZS and CP = 0 for GH, so neither rule deletes it. Otherwise
 ``_numpy_thin`` codes every pixel on every sub-iteration; the two give the
 same skeletons and iteration counts.
@@ -26,10 +26,9 @@ same skeletons and iteration counts.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
+from . import _native
 from .pattern import _MAX_CELLS, DimensionError, as_pattern
 
 # (row, column) offsets of P2..P9.
@@ -94,39 +93,16 @@ def _thin(pattern, tables):
     img = as_pattern(pattern)
     if img.ndim != 2:
         raise DimensionError("baseline thinning supports 2D patterns only")
-    sweep = _native_sweep()
-    if sweep is None or img.size > _MAX_CELLS:  # the C list holds int32 indices
-        return _numpy_thin(img, tables)
-    return sweep(img, tables)
-
-
-@lru_cache(maxsize=1)
-def _native_sweep():
-    """The C driver, or None to run ``_numpy_thin``.
-
-    Bound on the first call, not at import, because the load may compile.
-    """
-    import ctypes
-
-    from . import _native
-
     lib = _native.load()
-    if lib is None:
-        return None
-    fn = lib.slicethin_sweep
-    fn.restype = ctypes.c_ssize_t
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
-                   ctypes.c_void_p, ctypes.c_void_p)
-
-    def sweep(img, tables):
-        padded = np.zeros(np.add(img.shape, 2), np.uint8)
-        padded[1:-1, 1:-1] = img
-        rule = np.concatenate(tables)  # bool: one byte of 0 or 1 an entry
-        scratch = np.empty(img.size, np.int32)
-        iterations = fn(padded.ctypes.data, *padded.shape, rule.ctypes.data, scratch.ctypes.data)
-        return padded.view(bool)[1:-1, 1:-1].copy(), iterations
-
-    return sweep
+    if lib is None or img.size > _MAX_CELLS:  # the C list holds int32 indices
+        return _numpy_thin(img, tables)
+    padded = np.zeros(np.add(img.shape, 2), np.uint8)
+    padded[1:-1, 1:-1] = img
+    rule = np.concatenate(tables)  # bool: one byte of 0 or 1 an entry
+    scratch = np.empty(img.size, np.int32)
+    iterations = lib.slicethin_sweep(padded.ctypes.data, *padded.shape, rule.ctypes.data,
+                                     scratch.ctypes.data)
+    return padded.view(bool)[1:-1, 1:-1].copy(), iterations
 
 
 def _numpy_thin(img, tables):

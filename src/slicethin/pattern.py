@@ -4,8 +4,8 @@ Patterns are plain numpy bool arrays of ndim >= 2, row-major, last axis
 fastest-varying. Cells outside the array are treated as background
 everywhere in this package.
 
-``component_count`` runs in C (``slicethin_components`` in ``_kernel.c``,
-loaded by ``_native`` on the first count) where a C compiler builds it: a
+``component_count`` runs in C (``slicethin_components`` of the library that
+``_native.load`` gives on the first count) where a C compiler builds it: a
 flood fill over the runs along the last axis. Otherwise, and above
 ``_MAX_DIMS`` dimensions, ``_numpy_components`` hooks the edges of one
 forward offset at a time; the two give the same counts.
@@ -14,9 +14,10 @@ forward offset at a time; the two give the same counts.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
+
+from . import _native
 
 # The most cells a pattern may have when read from a file or generated.
 _MAX_CELLS = 10**8
@@ -51,39 +52,15 @@ def component_count(pattern) -> int:
     # np.zeros, not np.pad, which would keep a Fortran-order input's order.
     padded = np.zeros(np.add(arr.shape, 2), np.uint8)
     padded[(slice(1, -1),) * arr.ndim] = arr
-    count = _native_components()
-    if count is None or arr.ndim > _MAX_DIMS:  # the C arrays are sized for _MAX_DIMS
-        return _numpy_components(padded)
-    return count(padded)
-
-
-@lru_cache(maxsize=1)
-def _native_components():
-    """The C run fill, or None to run ``_numpy_components``.
-
-    Bound on the first count, not at import, because the load may compile.
-    """
-    import ctypes
-
-    from . import _native
-
     lib = _native.load()
-    if lib is None:
-        return None
-    fn = lib.slicethin_components
-    fn.restype = ctypes.c_ssize_t
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(ctypes.c_ssize_t),
-                   ctypes.c_void_p)
-
-    def count(padded):
-        # One stack entry per run. Every line starts with a padding zero, so
-        # the run starts of the flat buffer are those of its lines.
-        flat = padded.ravel()
-        stack = np.empty(np.count_nonzero(flat[1:] > flat[:-1]), np.intp)
-        return fn(padded.ctypes.data, padded.ndim, padded.ctypes.shape_as(ctypes.c_ssize_t),
-                  stack.ctypes.data)
-
-    return count
+    if lib is None or arr.ndim > _MAX_DIMS:  # the C arrays are sized for _MAX_DIMS
+        return _numpy_components(padded)
+    # One stack entry per run. Every line starts with a padding zero, so
+    # the run starts of the flat buffer are those of its lines.
+    flat = padded.ravel()
+    stack = np.empty(np.count_nonzero(flat[1:] > flat[:-1]), np.intp)
+    return lib.slicethin_components(padded.ctypes.data, padded.ndim, padded.ctypes.shape,
+                                    stack.ctypes.data)
 
 
 def _numpy_components(padded):

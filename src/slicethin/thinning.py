@@ -8,19 +8,20 @@ so later tests within the same pass see them.
 
 ``thin`` pads the pattern once with one background cell on every face, and
 every sub-cycle of the run works in place on that one buffer. A sub-cycle
-runs in C (``_kernel.c``, built and loaded by ``_native`` on the first
-sub-cycle) where a C compiler builds it, and otherwise in the Python kernel
-below, its readable reference. Both apply the same plane test
-(``_deletable``), and each builds its own plane offsets from the buffer.
+runs in C (``slicethin_subcycle`` of the library that ``_native.load``
+gives on the first sub-cycle) where a C compiler builds it, and otherwise
+in the Python kernel below, its readable reference. Both apply the same
+plane test (``_deletable``), and each builds its own plane offsets from the
+buffer.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
 import numpy as np
 
+from . import _native
 from .pattern import _MAX_DIMS, DimensionError, as_pattern
 
 
@@ -97,34 +98,11 @@ def thin_subcycle(padded, axis, directions):
     first; the back pixel is only considered while the cell just ahead of it
     is still foreground (otherwise the run is already a single survivor).
     """
-    return (_native_subcycle() or _python_subcycle)(padded, axis, directions)
-
-
-@lru_cache(maxsize=1)
-def _native_subcycle():
-    """The C sub-cycle, or None to run ``_python_subcycle``.
-
-    Bound on the first sub-cycle, not at import, because the load may
-    compile. The C code gets the buffer and its shape only, and builds its
-    own strides and plane offsets.
-    """
-    import ctypes
-
-    from . import _native
-
     lib = _native.load()
     if lib is None:
-        return None
-    fn = lib.slicethin_subcycle
-    fn.restype = ctypes.c_ssize_t
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.POINTER(ctypes.c_ssize_t),
-                   ctypes.c_int, ctypes.c_int, ctypes.c_int)
-
-    def subcycle(padded, axis, directions):
-        return fn(padded.ctypes.data, padded.ndim, padded.ctypes.shape_as(ctypes.c_ssize_t),
-                  axis, "f" in directions, "b" in directions)
-
-    return subcycle
+        return _python_subcycle(padded, axis, directions)
+    return lib.slicethin_subcycle(padded.ctypes.data, padded.ndim, padded.ctypes.shape,
+                                  axis, "f" in directions, "b" in directions)
 
 
 def _python_subcycle(view, axis, directions):

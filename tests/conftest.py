@@ -1,47 +1,22 @@
 import pytest
 
-from slicethin import baselines, pattern, thinning
+from slicethin import _native
 
 
-def _python_kernel():
-    """Run the Python kernel in place of the C one.
+def _no_kernel():
+    """Run the Python ``nd`` kernel, the numpy ZS/GH driver and the numpy
+    component counter in place of the C kernels.
 
-    Skipped where the automatic choice is the Python kernel already (no
-    compiler, or a failed build): the plain tests have run it there.
+    Skipped where no C kernel loads (no compiler, or a failed build): the
+    plain tests have run those paths there.
     """
-    if thinning._native_subcycle() is None:
-        pytest.skip("the automatic backend is the Python kernel")
+    if _native.load() is None:
+        pytest.skip("no C kernel loads here")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(thinning, "_native_subcycle", lambda: None)
+        patch.setattr(_native, "load", lambda: None)
         yield
 
 
 # The same fixture for a test class and for a whole module.
-python_kernel = pytest.fixture(scope="class")(_python_kernel)
-python_kernel_module = pytest.fixture(scope="module")(_python_kernel)
-
-
-@pytest.fixture(scope="class")
-def numpy_baselines():
-    """Run the numpy ZS/GH driver in place of the C sweep.
-
-    Skipped where the automatic choice is the numpy driver already.
-    """
-    if baselines._native_sweep() is None:
-        pytest.skip("the automatic ZS/GH backend is numpy")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(baselines, "_native_sweep", lambda: None)
-        yield
-
-
-@pytest.fixture(scope="class")
-def numpy_components():
-    """Count components with numpy in place of the C run fill.
-
-    Skipped where the automatic component counter is numpy already.
-    """
-    if pattern._native_components() is None:
-        pytest.skip("the automatic component counter is numpy")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pattern, "_native_components", lambda: None)
-        yield
+no_kernel = pytest.fixture(scope="class")(_no_kernel)
+no_kernel_module = pytest.fixture(scope="module")(_no_kernel)

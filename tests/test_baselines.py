@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
-from slicethin import baselines
+from slicethin import _native, baselines
 from slicethin.baselines import gh_thin, zs_thin
 from slicethin.pattern import DimensionError
 
@@ -87,7 +89,7 @@ class TestZhangSuen:
         assert np.array_equal(zs_thin(p)[0], sk)
 
 
-@pytest.mark.usefixtures("numpy_baselines")
+@pytest.mark.usefixtures("no_kernel")
 class TestZhangSuenNumpy(TestZhangSuen):
     """The Zhang-Suen tests under the numpy driver, where the plain run used C."""
 
@@ -133,7 +135,7 @@ class TestGuoHall:
         assert np.array_equal(gh_thin(p)[0], sk)
 
 
-@pytest.mark.usefixtures("numpy_baselines")
+@pytest.mark.usefixtures("no_kernel")
 class TestGuoHallNumpy(TestGuoHall):
     """The Guo-Hall tests under the numpy driver, where the plain run used C."""
 
@@ -157,7 +159,7 @@ def test_every_ring_code_matches_oracle(thin_fn, oracle):
         assert it == oracle_it, code
 
 
-@pytest.mark.usefixtures("numpy_baselines")
+@pytest.mark.usefixtures("no_kernel")
 @pytest.mark.parametrize("thin_fn, oracle", [(zs_thin, zs_oracle), (gh_thin, gh_oracle)])
 def test_every_ring_code_matches_oracle_numpy(thin_fn, oracle):
     test_every_ring_code_matches_oracle(thin_fn, oracle)
@@ -231,7 +233,7 @@ class TestDriverDifferential:
         assert_matches_oracle(rule, random_pattern((17, 11), 0.7, 4).astype(int))
 
 
-@pytest.mark.usefixtures("numpy_baselines")
+@pytest.mark.usefixtures("no_kernel")
 class TestDriverDifferentialNumpy(TestDriverDifferential):
     """The differential tests under the numpy driver, where the plain run used C."""
 
@@ -253,10 +255,10 @@ def test_thick_shapes_match_numpy(rule):
 def test_above_max_cells_runs_numpy(monkeypatch):
     # The C list holds int32 indices, so a pattern above the cell cap that
     # the readers and generators apply goes to the numpy driver.
-    def no_sweep(img, tables):
+    def no_sweep(*args):
         raise AssertionError("the C sweep ran above the cell cap")
 
-    monkeypatch.setattr(baselines, "_native_sweep", lambda: no_sweep)
+    monkeypatch.setattr(_native, "load", lambda: SimpleNamespace(slicethin_sweep=no_sweep))
     monkeypatch.setattr(baselines, "_MAX_CELLS", 15)
     sk, it = zs_thin(np.ones((4, 4), bool))
     assert foreground_coords(sk) == {(1, 1)} and it == 3

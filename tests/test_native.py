@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import slicethin
-from slicethin import _native, baselines, pattern, thinning
+from slicethin import _native, baselines
 from slicethin.pattern import _MAX_DIMS, component_count
 from slicethin.thinning import thin
 
@@ -28,14 +28,6 @@ EXPECTED_ZS = zs_oracle(foreground_coords(PATTERN_2D), PATTERN_2D.shape)
 EXPECTED_COUNT = components_oracle(foreground_coords(PATTERN), PATTERN.shape)
 
 
-def native_loaded():
-    """Whether the C kernels loaded; all three bindings must agree."""
-    loaded = thinning._native_subcycle() is not None
-    assert (baselines._native_sweep() is not None) == loaded
-    assert (pattern._native_components() is not None) == loaded
-    return loaded
-
-
 def thinned(arr):
     sk, it = thin(arr)
     zs_sk, zs_it = baselines.zs_thin(PATTERN_2D)
@@ -44,26 +36,20 @@ def thinned(arr):
     return foreground_coords(sk), it
 
 
-def forget_kernels():
-    for cached in (_native.load, thinning._native_subcycle, baselines._native_sweep,
-                   pattern._native_components):
-        cached.cache_clear()
-
-
 @pytest.fixture
 def kernel(monkeypatch, tmp_path):
     """Forget the loaded backend before and after the test; builds are
     cached under tmp_path."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    forget_kernels()
+    _native.load.cache_clear()
     yield
-    forget_kernels()
+    _native.load.cache_clear()
 
 
 @needs_cc
 def test_automatic_builds_native(kernel, tmp_path):
     # Where cc exists, the C kernel must really build, load and be used.
-    assert native_loaded()
+    assert _native.load() is not None
     assert thinned(PATTERN) == EXPECTED
     [library] = (tmp_path / "cache" / "slicethin").iterdir()
     assert library.name.startswith("kernel-") and library.suffix == ".so"
@@ -71,9 +57,18 @@ def test_automatic_builds_native(kernel, tmp_path):
 
 def test_missing_compiler_falls_back(kernel, monkeypatch, tmp_path):
     monkeypatch.setattr(_native, "COMPILE", ("slicethin-no-such-cc", *_native.COMPILE[1:]))
-    assert not native_loaded()
+    assert _native.load() is None
     assert thinned(PATTERN) == EXPECTED
     # The failed build leaves no temporary file behind.
+    assert list((tmp_path / "cache" / "slicethin").iterdir()) == []
+
+
+@needs_cc
+def test_failed_compile_falls_back(kernel, monkeypatch, tmp_path):
+    # cc runs and exits non-zero.
+    monkeypatch.setattr(_native, "COMPILE", (*_native.COMPILE, "-fslicethin-no-such-flag"))
+    assert _native.load() is None
+    assert thinned(PATTERN) == EXPECTED
     assert list((tmp_path / "cache" / "slicethin").iterdir()) == []
 
 
@@ -84,7 +79,7 @@ def test_temp_dir_when_cache_not_writable(kernel, monkeypatch, tmp_path):
     (tmp_path / "file").write_text("")
     monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
     private = tmp_path / f"slicethin-{os.getuid()}"
-    assert native_loaded()
+    assert _native.load() is not None
     assert private.stat().st_mode & 0o777 == 0o700
     assert len(list(private.glob("kernel-*.so"))) == 1
 
@@ -97,7 +92,7 @@ def test_shared_temp_dir_refused(kernel, monkeypatch, tmp_path):
     private = tmp_path / f"slicethin-{os.getuid()}"
     private.mkdir()
     private.chmod(0o777)  # another user could plant a library here
-    assert not native_loaded()
+    assert _native.load() is None
     assert thinned(PATTERN) == EXPECTED
     assert list(private.iterdir()) == []
 
@@ -107,7 +102,7 @@ def test_no_user_ids_and_no_cache_falls_back(kernel, monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
     (tmp_path / "file").write_text("")
     monkeypatch.delattr(os, "getuid")
-    assert not native_loaded()
+    assert _native.load() is None
     assert thinned(PATTERN) == EXPECTED
 
 
@@ -149,6 +144,15 @@ def test_second_process_reuses_library(tmp_path):
 
 
 @needs_cc
+def test_cached_load_starts_no_compiler(tmp_path):
+    # A load from the cache must not import subprocess, which only a build needs.
+    code = ("import sys; from slicethin import _native; "
+            "print(_native.load() is not None, 'subprocess' in sys.modules)")
+    assert run_python(code, XDG_CACHE_HOME=str(tmp_path)) == ["True", "True"]  # builds
+    assert run_python(code, XDG_CACHE_HOME=str(tmp_path)) == ["True", "False"]
+
+
+@needs_cc
 def test_concurrent_builds_share_one_library(tmp_path):
     # Three cold processes at once: each builds to its own temporary file and
     # renames it into place, so each loads a whole library.
@@ -168,15 +172,17 @@ def test_kernel_sized_for_max_dims():
 
 
 def test_import_loads_no_kernel():
-    # Import must not load scipy, nor the kernel loader and what only it
-    # needs (subprocess, hashlib), which would slow every CLI start. ctypes
-    # is not checked: a bare `import numpy` already loads it.
+    # Import must not load scipy, nor what only a kernel load needs
+    # (subprocess, hashlib), nor the library itself, which would slow every
+    # CLI start. ctypes is not checked: a bare `import numpy` already loads it.
     for module in ("slicethin", "slicethin.baselines", "slicethin.pattern", "slicethin.cli"):
-        added = run_python(
+        loaded, *added = run_python(
             f"import sys, numpy; before = set(sys.modules); import {module}; "
-            "print(*sorted(set(sys.modules) - before))"
+            "added = sorted(set(sys.modules) - before); from slicethin import _native; "
+            "print(_native.load.cache_info().currsize, *added)"
         )
-        for heavy in ("scipy", "subprocess", "hashlib", "slicethin._native"):
+        assert loaded == "0", module
+        for heavy in ("scipy", "subprocess", "hashlib"):
             assert heavy not in added, (module, heavy)
 
 

@@ -1,4 +1,5 @@
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
-from slicethin import pattern
+from slicethin import _native
 from slicethin.pattern import DimensionError, as_pattern, component_count
 
 from helpers import run_subcycle
@@ -197,17 +198,17 @@ class TestConnectedComponents:
             assert component_count(np.flip(p, axis)) == base
 
 
-@pytest.mark.usefixtures("numpy_components")
+@pytest.mark.usefixtures("no_kernel")
 class TestConnectedComponentsNumpy(TestConnectedComponents):
     """The component tests under the numpy counter, where the plain run used C."""
 
 
 def test_above_max_dims_counts_with_numpy(monkeypatch):
     # The C kernel's arrays are sized for k <= 8, so a k = 9 pattern goes to numpy.
-    def no_fill(padded):
+    def no_fill(*args):
         raise AssertionError("the C run fill ran above _MAX_DIMS")
 
-    monkeypatch.setattr(pattern, "_native_components", lambda: no_fill)
+    monkeypatch.setattr(_native, "load", lambda: SimpleNamespace(slicethin_components=no_fill))
     corners = np.zeros((2,) * 8 + (3,), bool)
     corners[(0,) * 9] = corners[(1,) * 9] = True
     assert_counts(corners, 1)

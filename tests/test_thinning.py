@@ -182,7 +182,7 @@ class TestThinSubcycle:
             thin(np.ones((1,) * 9, bool))
 
 
-@pytest.mark.usefixtures("python_kernel")
+@pytest.mark.usefixtures("no_kernel")
 class TestThinSubcyclePython(TestThinSubcycle):
     """The sub-cycle tests under the Python kernel, where the plain run used C."""
 
@@ -242,7 +242,7 @@ class TestKernelDifferential:
         )
 
 
-@pytest.mark.usefixtures("python_kernel")
+@pytest.mark.usefixtures("no_kernel")
 class TestKernelDifferentialPython(TestKernelDifferential):
     """The differential tests under the Python kernel, where the plain run used C."""
 
@@ -391,6 +391,6 @@ class TestThinProperties:
         assert np.array_equal(sk, arr) and it == 1
 
 
-@pytest.mark.usefixtures("python_kernel")
+@pytest.mark.usefixtures("no_kernel")
 class TestThinPropertiesPython(TestThinProperties):
     """The property tests under the Python kernel, where the plain run used C."""
