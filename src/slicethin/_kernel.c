@@ -1,23 +1,22 @@
-/* The C kernels of slicethin, loaded by _native.
+/* The C kernels of slicethin, loaded by _native. Each works in place on the
+ * zero-padded C-order buffer of pattern._padded, one byte of 0 or 1 a cell,
+ * and has a Python or numpy twin that runs only where no library loads.
  *
  * slicethin_subcycle: one nd deletion sub-cycle, the scan and the plane test
- * of the Python kernel (thinning._python_subcycle), in place on the
- * zero-padded C-order pattern that thin allocates once per run. The strides
- * and the plane offsets are built here, once per call, from the padded shape.
+ * of the Python kernel (thinning._python_subcycle). The strides and the
+ * plane offsets are built here, once per call, from the padded shape.
  *
  * slicethin_sweep: a whole Zhang-Suen or Guo-Hall run, the mark-then-sweep
- * loop of the numpy driver (baselines._numpy_thin), coding only the pixels
+ * loop of the numpy driver (baselines._numpy_sweep), coding only the pixels
  * of a contour list instead of every pixel of the image.
  *
  * slicethin_components: the number of (3^k - 1)-connected foreground
- * components, by a flood fill over the runs along the last axis of the
- * zero-padded pattern; pattern._numpy_components is the fallback.
+ * components, by a flood fill over the runs along the last axis.
  */
 #include <stddef.h>
-#include <stdint.h>
 #include <string.h>
 
-#define MAX_DIMS 8     /* pattern._MAX_DIMS; thin rejects larger k */
+#define MAX_DIMS 8     /* pattern._MAX_DIMS; as_pattern rejects larger k */
 #define MAX_PLANE 2187 /* 3^(MAX_DIMS - 1): the cells of a plane cube */
 
 /* plane holds the offsets of the n = 3^(k-1) cells of p's plane cube, the
@@ -124,11 +123,11 @@ ptrdiff_t slicethin_subcycle(unsigned char *buf, int ndim, const ptrdiff_t *shap
 #define LISTED 2 /* in the contour list */
 #define MARKED 4 /* deletable in this sub-iteration */
 
-/* buf is the zero-padded rows x cols C-order pattern, one byte of 0 or 1 a
- * cell; tables holds the two sub-iterations' 256-entry deletability tables,
- * indexed by the code of P2..P9 (bit i is P(i+2)). list is scratch for one
- * flat index per pattern cell. Returns the number of iterations, the last
- * one deleting nothing; buf holds the skeleton, again as 0 or 1.
+/* buf is the padded rows x cols pattern; tables holds the two
+ * sub-iterations' 256-entry deletability tables, indexed by the code of
+ * P2..P9 (bit i is P(i+2)). list is scratch for one flat index per pattern
+ * cell. Returns the number of iterations, the last one deleting nothing;
+ * buf holds the skeleton, again as 0 or 1.
  *
  * The list holds every foreground pixel with a background 8-neighbour, and
  * maybe more: a pixel with 8 foreground neighbours has BP = 8 for ZS and
@@ -140,7 +139,7 @@ ptrdiff_t slicethin_subcycle(unsigned char *buf, int ndim, const ptrdiff_t *shap
  * listed twice. Those neighbours are foreground pixels not yet listed, so
  * they fit in list after the current entries. */
 ptrdiff_t slicethin_sweep(unsigned char *buf, ptrdiff_t rows, ptrdiff_t cols,
-                          const unsigned char *tables, int32_t *list)
+                          const unsigned char *tables, ptrdiff_t *list)
 {
     /* P2..P9: north, then clockwise. */
     const ptrdiff_t ring[8] = {-cols, 1 - cols, 1, cols + 1, cols, cols - 1, -1, -cols - 1};
@@ -152,7 +151,7 @@ ptrdiff_t slicethin_sweep(unsigned char *buf, ptrdiff_t rows, ptrdiff_t cols,
             for (k = 0; k < 8; k++)
                 if (!buf[i + ring[k]]) {
                     buf[i] |= LISTED;
-                    list[n++] = (int32_t)i;
+                    list[n++] = i;
                     break;
                 }
     while (changed) {
@@ -177,14 +176,14 @@ ptrdiff_t slicethin_sweep(unsigned char *buf, ptrdiff_t rows, ptrdiff_t cols,
             for (r = 0; r < n; r++) {
                 ptrdiff_t i = list[r];
                 if (!(buf[i] & MARKED)) {
-                    list[kept++] = (int32_t)i;
+                    list[kept++] = i;
                     continue;
                 }
                 buf[i] = 0;
                 for (k = 0; k < 8; k++)
                     if (buf[i + ring[k]] == FG) {
                         buf[i + ring[k]] = FG | LISTED;
-                        list[n + added++] = (int32_t)(i + ring[k]);
+                        list[n + added++] = i + ring[k];
                     }
             }
             memmove(list + kept, list + n, (size_t)added * sizeof *list);
@@ -208,10 +207,9 @@ static ptrdiff_t visit(unsigned char *buf, ptrdiff_t j)
     return start;
 }
 
-/* buf is the zero-padded C-order pattern, one byte of 0 or 1 a cell, and
- * shape its padded shape; stack is scratch for the start index of every run
- * along the last axis. Returns the number of (3^k - 1)-connected foreground
- * components; buf is left with 2 on every foreground cell.
+/* shape is the padded shape; stack is scratch for the start index of every
+ * run along the last axis. Returns the number of (3^k - 1)-connected
+ * foreground components; buf is left with 2 on every foreground cell.
  *
  * A fill starts at each unvisited foreground cell, in index order. A run is
  * marked visited when it is pushed, so it is pushed once. Cells l - 1 .. r + 1

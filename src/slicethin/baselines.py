@@ -11,16 +11,17 @@ layout (row x grows downward, column y rightward):
 
 Whether P1 is deletable depends only on P2..P9, so each rule is a scalar
 predicate per sub-iteration, tabulated at import over the 256 neighbor
-codes (bit i of the code is P(i+2)); one driver applies the tables.
+codes (bit i of the code is P(i+2)), a row per sub-iteration.
 
-The driver runs in C (``slicethin_sweep`` of the library that
-``_native.load`` gives on the first call) where a C compiler builds it. It
-codes only the pixels of a contour list: at first every foreground pixel
-with a background 8-neighbor, then the pixels of the last list that are
-still foreground plus the foreground neighbors of the pixels just deleted.
-A pixel whose 8 neighbors are all foreground never needs listing: it has
-BP = 8 for ZS and CP = 0 for GH, so neither rule deletes it. Otherwise
-``_numpy_thin`` codes every pixel on every sub-iteration; the two give the
+One driver applies the table, in place on the buffer of ``pattern._padded``.
+It runs in C (``slicethin_sweep`` of the library that ``_native.load`` gives
+on the first call) wherever a library loads, coding only the pixels of a
+contour list: at first every foreground pixel with a background 8-neighbor,
+then the pixels of the last list that are still foreground plus the
+foreground neighbors of the pixels just deleted. A pixel whose 8 neighbors
+are all foreground never needs listing: it has BP = 8 for ZS and CP = 0 for
+GH, so neither rule deletes it. Only where no library loads,
+``_numpy_sweep`` codes every pixel on every sub-iteration; the two give the
 same skeletons and iteration counts.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _native
-from .pattern import _MAX_CELLS, DimensionError, as_pattern
+from .pattern import DimensionError, _padded, as_pattern
 
 # (row, column) offsets of P2..P9.
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
@@ -71,53 +72,50 @@ def _gh_deletable(first, p2, p3, p4, p5, p6, p7, p8, p9):
 
 
 def _tables(rule):
-    """The rule's two sub-iteration tables, indexed by neighbor code."""
+    """The rule's (2, 256) bool table: a row per sub-iteration, indexed by neighbor code."""
     rings = [[bool(code >> i & 1) for i in range(8)] for code in range(256)]
-    return tuple(np.array([rule(first, *ring) for ring in rings]) for first in (True, False))
+    return np.array([[rule(first, *ring) for ring in rings] for first in (True, False)])
 
 
 _ZS_TABLES = _tables(_zs_deletable)
 _GH_TABLES = _tables(_gh_deletable)
 
 
-def _neighbor_code(img):
-    p = np.pad(img, 1).view(np.uint8)
-    h, w = img.shape
-    code = np.zeros((h, w), np.uint8)
-    for bit, (dx, dy) in enumerate(_RING):
-        code += p[1 + dx : 1 + dx + h, 1 + dy : 1 + dy + w] * np.uint8(1 << bit)
-    return code
-
-
 def _thin(pattern, tables):
     img = as_pattern(pattern)
     if img.ndim != 2:
         raise DimensionError("baseline thinning supports 2D patterns only")
+    padded = _padded(img)
     lib = _native.load()
-    if lib is None or img.size > _MAX_CELLS:  # the C list holds int32 indices
-        return _numpy_thin(img, tables)
-    padded = np.zeros(np.add(img.shape, 2), np.uint8)
-    padded[1:-1, 1:-1] = img
-    rule = np.concatenate(tables)  # bool: one byte of 0 or 1 an entry
-    scratch = np.empty(img.size, np.int32)
-    iterations = lib.slicethin_sweep(padded.ctypes.data, *padded.shape, rule.ctypes.data,
-                                     scratch.ctypes.data)
+    if lib is None:
+        iterations = _numpy_sweep(padded, tables)
+    else:
+        # The contour list; named, so that it outlives the call.
+        scratch = np.empty(img.size, np.intp)
+        iterations = lib.slicethin_sweep(padded.ctypes.data, *padded.shape, tables.ctypes.data,
+                                         scratch.ctypes.data)
     return padded.view(bool)[1:-1, 1:-1].copy(), iterations
 
 
-def _numpy_thin(img, tables):
-    img = img.copy()
+def _numpy_sweep(padded, tables):
+    """The sweep, coding every pixel, in place on ``padded``; returns the
+    number of iterations, the last one deleting nothing."""
+    h, w = padded.shape[0] - 2, padded.shape[1] - 2
+    # P2..P9 of every pixel, as views: each sub-iteration reads the live image.
+    ring = [padded[1 + dx : 1 + dx + h, 1 + dy : 1 + dy + w] for dx, dy in _RING]
+    img = padded.view(bool)[1:-1, 1:-1]
     iterations = 0
     while True:
         iterations += 1
         changed = False
         for table in tables:
-            cond = img & np.take(table, _neighbor_code(img))
+            code = sum(p * np.uint8(1 << bit) for bit, p in enumerate(ring))
+            cond = img & table[code]
             if cond.any():
                 img[cond] = False
                 changed = True
         if not changed:
-            return img, iterations
+            return iterations
 
 
 def zs_thin(pattern) -> tuple[np.ndarray, int]:

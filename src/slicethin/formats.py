@@ -106,6 +106,8 @@ def _payload(data, pos, total, packed):
 
 def _body(arr) -> bytes:
     """The cells as '0'/'1' separated by spaces, one last-axis line per row."""
+    if not arr.size:  # the readers take sizes of at least 1
+        raise FormatError(f"a pattern file cannot hold a zero-length axis: shape {arr.shape}")
     rows = arr.reshape(-1, arr.shape[-1])
     out = np.full((rows.shape[0], 2 * rows.shape[1]), ord(" "), np.uint8)
     out[:, ::2] = rows + ord("0")

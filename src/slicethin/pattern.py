@@ -1,14 +1,14 @@
 """k-dimensional binary pattern primitives.
 
-Patterns are plain numpy bool arrays of ndim >= 2, row-major, last axis
-fastest-varying. Cells outside the array are treated as background
-everywhere in this package.
+Patterns are plain numpy bool arrays of 2 to ``_MAX_DIMS`` dimensions,
+row-major, last axis fastest-varying; ``as_pattern`` is the one place that
+caps k. Cells outside the array are background everywhere in this package.
 
-``component_count`` runs in C (``slicethin_components`` of the library that
-``_native.load`` gives on the first count) where a C compiler builds it: a
-flood fill over the runs along the last axis. Otherwise, and above
-``_MAX_DIMS`` dimensions, ``_numpy_components`` hooks the edges of one
-forward offset at a time; the two give the same counts.
+Every kernel works in place on the buffer of ``_padded``: in C wherever
+``_native.load`` gives a library, and in its Python or numpy twin only where
+none loads. ``component_count`` runs ``slicethin_components``, a flood fill
+over the runs along the last axis, or ``_numpy_components``, which hooks
+the edges of one forward offset at a time; the two give the same counts.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from . import _native
 
 # The most cells a pattern may have when read from a file or generated.
 _MAX_CELLS = 10**8
-# The most dimensions a pattern file may declare and the nd kernel accepts:
-# the C kernel's fixed arrays (MAX_DIMS, and MAX_PLANE = 3^(k-1) plane cells,
-# in _kernel.c) are sized for it.
+# The most dimensions a pattern may have: the C kernels' fixed arrays
+# (MAX_DIMS, and MAX_PLANE = 3^(k-1) plane cells, in _kernel.c) are sized for it.
 _MAX_DIMS = 8
 
 
@@ -34,11 +33,11 @@ class DimensionError(ValueError):
 def as_pattern(data) -> np.ndarray:
     """Validate and convert array-like input to a bool pattern array.
 
-    Accepts bool arrays or integer arrays containing only 0/1.
+    Accepts bool or 0/1 integer arrays of 2 to ``_MAX_DIMS`` dimensions.
     """
     arr = np.asarray(data)
-    if arr.ndim < 2:
-        raise DimensionError(f"pattern must have at least 2 dimensions, got {arr.ndim}")
+    if not 2 <= arr.ndim <= _MAX_DIMS:
+        raise DimensionError(f"pattern must have 2 to {_MAX_DIMS} dimensions, got {arr.ndim}")
     if arr.dtype != bool:
         if arr.size and not np.isin(arr, (0, 1)).all():
             raise ValueError("pattern cells must be exactly 0 or 1")
@@ -46,14 +45,21 @@ def as_pattern(data) -> np.ndarray:
     return arr
 
 
-def component_count(pattern) -> int:
-    """Count foreground components under (3^k - 1)-adjacency (8-connectivity in 2D)."""
-    arr = as_pattern(pattern)
+def _padded(arr):
+    """The kernels' buffer: a C-order uint8 copy of ``arr`` with one background
+    cell on every face, so every neighbour of a cell has a fixed flat offset
+    and the padding ends every run."""
     # np.zeros, not np.pad, which would keep a Fortran-order input's order.
     padded = np.zeros(np.add(arr.shape, 2), np.uint8)
     padded[(slice(1, -1),) * arr.ndim] = arr
+    return padded
+
+
+def component_count(pattern) -> int:
+    """Count foreground components under (3^k - 1)-adjacency (8-connectivity in 2D)."""
+    padded = _padded(as_pattern(pattern))
     lib = _native.load()
-    if lib is None or arr.ndim > _MAX_DIMS:  # the C arrays are sized for _MAX_DIMS
+    if lib is None:
         return _numpy_components(padded)
     # One stack entry per run. Every line starts with a padding zero, so
     # the run starts of the flat buffer are those of its lines.
@@ -64,7 +70,7 @@ def component_count(pattern) -> int:
 
 
 def _numpy_components(padded):
-    """Count components of the zero-padded pattern by edge hooking.
+    """Count components of the padded pattern by edge hooking.
 
     Every cell starts as its own root. For one forward offset at a time,
     each foreground pair it links with different roots hooks the larger root

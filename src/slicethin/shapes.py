@@ -86,10 +86,9 @@ KINDS_3D = tuple(kind for kind, (ndim, _, _) in _SHAPES.items() if ndim == 3)
 
 
 def _centered(grid):
-    cs = np.indices(grid, dtype=float)
-    for i, n in enumerate(grid):
-        cs[i] -= (n - 1) / 2
-    return cs
+    """Cell-centre coordinates less (N-1)/2: one sparse array per axis, N
+    long along it and 1 along the others, which the solids broadcast."""
+    return [c - (n - 1) / 2 for c, n in zip(np.indices(grid, dtype=float, sparse=True), grid)]
 
 
 def _param(spec, name):
@@ -113,7 +112,7 @@ def generate(spec: ShapeSpec) -> np.ndarray:
     grid = tuple(int(n) for n in spec.grid)
     if any(n < 1 for n in grid):
         raise ValueError("grid dimensions must be positive")
-    if math.prod(grid) > _MAX_CELLS:  # checked before _centered allocates the grid
+    if math.prod(grid) > _MAX_CELLS:  # checked before the solid allocates the mask
         raise ValueError(f"grid has more than {_MAX_CELLS} cells")
     if spec.kind not in _SHAPES:
         raise ValueError(f"unknown shape kind {spec.kind!r}")

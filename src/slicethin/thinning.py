@@ -6,13 +6,12 @@ tests the run extremes (the front pixel with the highest index and the back
 pixel with the lowest) for deletability. Deletions are applied immediately,
 so later tests within the same pass see them.
 
-``thin`` pads the pattern once with one background cell on every face, and
-every sub-cycle of the run works in place on that one buffer. A sub-cycle
-runs in C (``slicethin_subcycle`` of the library that ``_native.load``
-gives on the first sub-cycle) where a C compiler builds it, and otherwise
-in the Python kernel below, its readable reference. Both apply the same
-plane test (``_deletable``), and each builds its own plane offsets from the
-buffer.
+``thin`` pads the pattern once (``pattern._padded``), and every sub-cycle
+of the run works in place on that one buffer. A sub-cycle runs in C
+(``slicethin_subcycle`` of the library that ``_native.load`` gives on the
+first sub-cycle) wherever a library loads, and only where none loads in the
+Python kernel below, its readable reference. Both apply the same plane test
+(``_deletable``), and each builds its own plane offsets from the buffer.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import re
 import numpy as np
 
 from . import _native
-from .pattern import _MAX_DIMS, DimensionError, as_pattern
+from .pattern import _padded, as_pattern
 
 
 class ScheduleError(ValueError):
@@ -88,10 +87,9 @@ def _deletable(buf, i, plane, triples, ahead):
 
 
 def thin_subcycle(padded, axis, directions):
-    """One sequential deletion pass along ``axis``, in place on ``padded``:
-    a C-order bool pattern with one background cell on every face, so every
-    neighbour of a cell has a fixed flat offset and the padding ends every
-    run. Returns the number of cells deleted.
+    """One sequential deletion pass along ``axis``, in place on ``padded``,
+    the uint8 buffer of ``pattern._padded``. Returns the number of cells
+    deleted.
 
     Slices are visited in lexicographic order of their fixed coordinates,
     runs in increasing index order. Within a run the front pixel is tested
@@ -113,13 +111,13 @@ def _python_subcycle(view, axis, directions):
     the tests read the live buffer.
     """
     buf = memoryview(view).cast("B")
-    strides = view.strides  # in cells: a bool is one byte
+    strides = view.strides  # in cells: a uint8 is one byte
     step = strides[axis]
     plane, triples = _offsets(strides, axis)
     # Run extremes, lines in lexicographic order and runs in index order: a
     # back cell has background behind it, a front cell background ahead.
     # cells[..., 0] lies one step into its padded line.
-    lines = np.moveaxis(view, axis, -1)
+    lines = np.moveaxis(view.view(bool), axis, -1)
     cells = lines[..., 1:-1]
     backs, fronts = (
         (sum(c * s for c, s in zip(np.nonzero(m), cells.strides)) + step).tolist()
@@ -147,8 +145,7 @@ def thin(pattern, schedule: str | None = None) -> tuple[np.ndarray, int]:
     sub-cycle is an axis index plus 'f' (delete run fronts), 'b' (backs) or
     'fb' (both), e.g. "1fb,0fb" or "2fb;1fb,0fb". None runs every axis once,
     both directions, innermost axis first. Bad text, or an axis the pattern
-    does not have, raises ``ScheduleError``; more than 8 dimensions raise
-    ``DimensionError``.
+    does not have, raises ``ScheduleError``.
 
     Runs each phase to convergence (an iteration executes every sub-cycle
     of the phase once; the phase stops after the first iteration that
@@ -157,16 +154,11 @@ def thin(pattern, schedule: str | None = None) -> tuple[np.ndarray, int]:
     """
     arr = as_pattern(pattern)
     phases = _phases(schedule, arr.ndim)
-    if arr.ndim > _MAX_DIMS:
-        raise DimensionError(f"thinning supports at most {_MAX_DIMS} dimensions, got {arr.ndim}")
-    # np.zeros, not np.pad, which would keep a Fortran-order input's order.
-    padded = np.zeros(np.add(arr.shape, 2), bool)
-    interior = (slice(1, -1),) * arr.ndim
-    padded[interior] = arr
+    padded = _padded(arr)
     iterations = 0
     for phase in phases:
         while True:
             iterations += 1
             if not sum(thin_subcycle(padded, axis, dirs) for axis, dirs in phase):
                 break
-    return padded[interior].copy(), iterations
+    return padded.view(bool)[(slice(1, -1),) * arr.ndim].copy(), iterations

@@ -1,21 +1,18 @@
 """Shared test helpers: one ``nd`` sub-cycle as ``thin`` runs it, and pinned shape masks."""
 
-import numpy as np
-
 from slicethin import thinning
+from slicethin.pattern import _padded
 
 
 def run_subcycle(arr, axis, dirs):
     """One sub-cycle on ``arr``, in place; returns the number of cells deleted.
 
-    ``arr`` may be any bool view: it is padded into a C-order buffer, the
-    layout ``thin`` gives the kernel, and the interior is written back.
+    ``arr`` may be any bool view: it is padded into the buffer ``thin``
+    gives the kernel, and the interior is written back.
     """
-    padded = np.zeros(np.add(arr.shape, 2), bool)
-    interior = (slice(1, -1),) * arr.ndim
-    padded[interior] = arr
+    padded = _padded(arr)
     deleted = thinning.thin_subcycle(padded, axis, dirs)
-    arr[...] = padded[interior]
+    arr[...] = padded[(slice(1, -1),) * arr.ndim]
     return deleted
 
 

@@ -1,14 +1,12 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
-from slicethin import _native, baselines
+from slicethin import baselines
 from slicethin.baselines import gh_thin, zs_thin
-from slicethin.pattern import DimensionError
+from slicethin.pattern import DimensionError, _padded
 
 from oracles import (
     foreground_coords,
@@ -248,17 +246,6 @@ def test_thick_shapes_match_numpy(rule):
     tables = baselines._ZS_TABLES if rule == "zs" else baselines._GH_TABLES
     for pattern in (disc, ring, np.pad(np.ones((60, 70), bool), 3)):
         sk, it = RULES[rule][0](pattern)
-        expected, expected_it = baselines._numpy_thin(pattern, tables)
-        assert np.array_equal(sk, expected) and it == expected_it
-
-
-def test_above_max_cells_runs_numpy(monkeypatch):
-    # The C list holds int32 indices, so a pattern above the cell cap that
-    # the readers and generators apply goes to the numpy driver.
-    def no_sweep(*args):
-        raise AssertionError("the C sweep ran above the cell cap")
-
-    monkeypatch.setattr(_native, "load", lambda: SimpleNamespace(slicethin_sweep=no_sweep))
-    monkeypatch.setattr(baselines, "_MAX_CELLS", 15)
-    sk, it = zs_thin(np.ones((4, 4), bool))
-    assert foreground_coords(sk) == {(1, 1)} and it == 3
+        padded = _padded(pattern)
+        expected_it = baselines._numpy_sweep(padded, tables)
+        assert np.array_equal(sk, padded[1:-1, 1:-1]) and it == expected_it

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
@@ -17,6 +17,7 @@ from slicethin.formats import (
     write_pattern,
     write_pbm,
 )
+from slicethin.pattern import DimensionError
 
 
 class TestPbm:
@@ -155,6 +156,23 @@ class TestNdbin:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_random(self, arr):
         assert np.array_equal(read_ndbin(write_ndbin(arr)), arr)
+
+
+class TestWriters:
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=9, min_side=0, max_side=3)))
+    @example(np.zeros((0, 5), bool))
+    @example(np.zeros((3, 0), bool))
+    @settings(max_examples=100, deadline=None)
+    def test_emit_only_readable_files(self, arr):
+        # A pattern a reader would reject (a zero-length axis, k > 8, or k != 2
+        # for PBM) is refused by the writer; any other reads back equal.
+        writers = ((write_pbm, read_pbm, {2}), (write_ndbin, read_ndbin, range(2, 9)))
+        for write, read, ranks in writers:
+            if arr.size and arr.ndim in ranks:
+                assert np.array_equal(read(write(arr)), arr)
+            else:
+                with pytest.raises((FormatError, DimensionError)):
+                    write(arr)
 
 
 _PIECES = (

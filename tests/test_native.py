@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import slicethin
-from slicethin import _native, baselines
+from slicethin import _native, baselines, pattern, thinning
+from slicethin.metrics import evaluate
 from slicethin.pattern import _MAX_DIMS, component_count
 from slicethin.thinning import thin
 
-from oracles import components_oracle, foreground_coords, thin_oracle, zs_oracle
+from oracles import components_oracle, foreground_coords, gh_oracle, thin_oracle, zs_oracle
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
@@ -169,6 +170,28 @@ def test_kernel_sized_for_max_dims():
     defines = dict(re.findall(r"^#define (\w+) (\d+)", _native.SOURCE.read_text(), re.M))
     assert int(defines["MAX_DIMS"]) == _MAX_DIMS
     assert int(defines["MAX_PLANE"]) == 3 ** (_MAX_DIMS - 1)
+
+
+def test_loaded_kernels_take_every_input(monkeypatch):
+    # Where a library loads, its C kernels run on every pattern: a Python or
+    # numpy twin runs only where none loads, whatever the size or the rank.
+    if _native.load() is None:
+        pytest.skip("no C kernel loads here")
+
+    def twin(*args):
+        raise AssertionError("a Python or numpy twin ran beside a loaded library")
+
+    monkeypatch.setattr(thinning, "_python_subcycle", twin)
+    monkeypatch.setattr(baselines, "_numpy_sweep", twin)
+    monkeypatch.setattr(pattern, "_numpy_components", twin)
+    assert thinned(PATTERN) == EXPECTED
+    gh_sk, gh_it = baselines.gh_thin(PATTERN_2D)
+    expected_gh = gh_oracle(foreground_coords(PATTERN_2D), PATTERN_2D.shape)
+    assert (foreground_coords(gh_sk), gh_it) == expected_gh
+    eight = np.random.default_rng(8).random((3,) * 8) < 0.6
+    for arr in (PATTERN_2D, PATTERN, eight):
+        sk, it = thin(arr)
+        assert evaluate(arr, sk, it).area_skeleton < np.count_nonzero(arr)
 
 
 def test_import_loads_no_kernel():

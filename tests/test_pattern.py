@@ -1,5 +1,4 @@
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +8,12 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from slicethin import _native
+from slicethin.baselines import gh_thin, zs_thin
+from slicethin.formats import export_voxels_csv, write_ndbin, write_pbm
+from slicethin.metrics import evaluate, measure_mt, size_ratio
 from slicethin.pattern import DimensionError, as_pattern, component_count
+from slicethin.shapes import RuggedSpec, ruggedize
+from slicethin.thinning import thin
 
 from helpers import run_subcycle
 from oracles import ball, components_oracle, foreground_coords, subcycle_oracle
@@ -203,15 +207,31 @@ class TestConnectedComponentsNumpy(TestConnectedComponents):
     """The component tests under the numpy counter, where the plain run used C."""
 
 
-def test_above_max_dims_counts_with_numpy(monkeypatch):
-    # The C kernel's arrays are sized for k <= 8, so a k = 9 pattern goes to numpy.
-    def no_fill(*args):
-        raise AssertionError("the C run fill ran above _MAX_DIMS")
+# Every public function that takes a pattern, called on one.
+_TAKES_PATTERN = {
+    "as_pattern": as_pattern,
+    "thin": thin,
+    "zs_thin": zs_thin,
+    "gh_thin": gh_thin,
+    "component_count": component_count,
+    "evaluate": lambda p: evaluate(p, p, 1),
+    "measure_mt": measure_mt,
+    "size_ratio": lambda p: size_ratio(p, p),
+    "ruggedize": lambda p: ruggedize(p, RuggedSpec(0.5, 0)),
+    "write_pbm": write_pbm,
+    "write_ndbin": write_ndbin,
+    "export_voxels_csv": export_voxels_csv,
+}
 
-    monkeypatch.setattr(_native, "load", lambda: SimpleNamespace(slicethin_components=no_fill))
-    corners = np.zeros((2,) * 8 + (3,), bool)
-    corners[(0,) * 9] = corners[(1,) * 9] = True
-    assert_counts(corners, 1)
-    corners[(1,) * 9] = False
-    corners[(1,) * 8 + (2,)] = True
-    assert_counts(corners, 2)
+
+@pytest.mark.parametrize("k", [9, 13])
+@pytest.mark.parametrize("name", sorted(_TAKES_PATTERN))
+def test_above_max_dims_raises(monkeypatch, name, k):
+    # as_pattern caps k for every function before any kernel is asked for:
+    # a one-cell pattern would otherwise have 3^k neighbours to look at.
+    def load():
+        raise AssertionError(f"a kernel was asked for at k = {k}")
+
+    monkeypatch.setattr(_native, "load", load)
+    with pytest.raises(DimensionError, match=f"got {k}"):
+        _TAKES_PATTERN[name](np.ones((1,) * k, bool))
