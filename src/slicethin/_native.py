@@ -5,13 +5,17 @@ entry points from ``_ENTRY_POINTS`` and returns it. It is the only code
 that knows ctypes: ``thinning``, ``baselines`` and ``pattern`` call
 ``load()`` where they need a kernel, not at import, because the load may
 compile, and call the typed function directly. Importing this module loads
-nothing that ``import numpy`` has not loaded already; hashlib is imported
-when the library is first looked for, and subprocess only to compile it.
+nothing that ``import numpy`` has not loaded already, and a load from the
+cache nothing more; subprocess is imported only to compile.
 
 The library is cached in ``$XDG_CACHE_HOME/slicethin`` (default
 ``~/.cache/slicethin``), or, where that cannot be written, in
-``<tempdir>/slicethin-<uid>``. Its name is a hash of the C source, the
-compile command and the machine type, so a changed source gets a new build.
+``<tempdir>/slicethin-<uid>``. Its name holds a CRC-32 of the C source, the
+compile command and the machine type, and the source's length, so a changed
+source gets a new build. zlib gives the CRC: ``import numpy`` has loaded it,
+while hashlib would cost every CLI call a few milliseconds. The CRC tells
+builds apart; it is no defence against a planted library, which is what the
+checks on the temp directory are for.
 Each build goes to a temporary file that is renamed into place, so
 processes that build at the same time never load a half-written library.
 Where there is no compiler, or the build or the load fails, ``load`` gives
@@ -26,6 +30,7 @@ import os
 import platform
 import stat
 import tempfile
+import zlib
 from contextlib import suppress
 from functools import lru_cache
 from pathlib import Path
@@ -63,13 +68,16 @@ def load():
     return lib
 
 
+def _name(source: bytes) -> str:
+    """The cached library's file name, from the source, the compile command
+    and the machine type: their CRC-32 and the source's length."""
+    key = source + repr((COMPILE, platform.machine())).encode()
+    return f"kernel-{zlib.crc32(key):08x}-{len(source)}.so"
+
+
 def _library():
     """The built library's path: found in a cache directory, or compiled into one."""
-    import hashlib
-
-    digest = hashlib.sha256(SOURCE.read_bytes())
-    digest.update(repr((COMPILE, platform.machine())).encode())
-    name = f"kernel-{digest.hexdigest()[:16]}.so"
+    name = _name(SOURCE.read_bytes())
     for directory in _cache_dirs():
         path = directory / name
         if path.is_file():

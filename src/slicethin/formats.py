@@ -5,6 +5,13 @@ PBM follows the netpbm convention: magic ``P1``, ``width height`` header,
 NDBIN is a plain-text container: ``NDBIN\\n<k>\\n<N_1> ... <N_k>\\n``
 followed by the cells as whitespace-separated bits in row-major order.
 Both formats share one token grammar, stated in the README ("File formats").
+
+A valid payload is decoded without an index per bit: comments, where there
+are any, are blanked out byte for byte, ``bytes.translate`` drops the blanks,
+and numpy checks what is left: the count, that every byte is a bit and, in
+NDBIN, that no two non-blank bytes touch. Only a file that fails a check is
+scanned again to locate its first fault, so a ``ParseError`` names the byte
+offset that a token-by-token reader would.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ _WS = b" \t\n\r\v\f"  # ASCII whitespace, as bytes.isspace() defines it
 # Skip whitespace and comments, then capture one token, empty at the end of the
 # data. So a match never fails and never backtracks a token into a comment.
 _TOKEN = re.compile(rb"(?:[%s]+|#[^\n]*)*([^%s#]*)" % (_WS, _WS))
-_BLANK = np.isin(np.arange(256), list(_WS))
 
 
 def _next_token(data, pos, what):
@@ -82,11 +88,26 @@ def _read(data: bytes, magic: bytes) -> np.ndarray:
 
 def _payload(data, pos, total, packed):
     """Decode the ``total`` bits after ``pos``; PBM bits may be packed (``1011``)."""
-    # Blank comments out byte for byte, so an index into buf stays an offset,
-    # and add a blank at the end, so that every byte is followed by another.
-    text = re.sub(rb"#[^\n]*", lambda m: b" " * len(m.group()), data[pos:]) + b" "
+    text = data[pos:]
+    if b"#" in text:
+        # Blank comments out byte for byte, so an index into text stays an offset.
+        text = re.sub(rb"#[^\n]*", lambda m: b" " * len(m.group()), text)
+    # Dropping the blanks leaves the bits in order. A valid file passes three
+    # checks on them: the count, every byte a bit and, in NDBIN, one bit per
+    # token. Only a file that fails one is scanned again, to locate the fault.
+    bits = np.frombuffer(text.translate(None, _WS), np.uint8) - np.uint8(ord("0"))
+    if len(bits) == total and bits.max() <= 1:  # a byte below '0' wraps past 1
+        if packed:
+            return bits.view(bool)
+        # Every byte is now a blank or a bit, and only the bits lie above ' '.
+        filled = np.frombuffer(text, np.uint8) > ord(" ")
+        if not (filled[:-1] & filled[1:]).any():
+            return bits.view(bool)
+    # A check failed: locate the first fault. Add a blank at the end, so that
+    # every byte is followed by another.
+    text += b" "
     buf = np.frombuffer(text, np.uint8)
-    filled = ~_BLANK[buf]
+    filled = (buf - np.uint8(9) > 4) & (buf != ord(" "))  # not in _WS: 9 to 13, 32
     # Each filled byte must be a bit; in NDBIN also a whole token, so the byte
     # after it must be blank. The first byte that fails starts the first token
     # that fails. Checking up to the first excess bit lets an invalid one win.
@@ -99,9 +120,7 @@ def _payload(data, pos, total, packed):
         raise ParseError(f"invalid bit in {text[i:].split(None, 1)[0]!r}", pos + int(i))
     if count > total:
         raise ParseError(f"more than the {total} bits declared", pos + int(at[total]))
-    if count < total:
-        raise ParseError(f"truncated data: got {count} of {total} bits", len(data))
-    return bits.astype(bool)
+    raise ParseError(f"truncated data: got {count} of {total} bits", len(data))
 
 
 def _body(arr) -> bytes:
@@ -110,7 +129,7 @@ def _body(arr) -> bytes:
         raise FormatError(f"a pattern file cannot hold a zero-length axis: shape {arr.shape}")
     rows = arr.reshape(-1, arr.shape[-1])
     out = np.full((rows.shape[0], 2 * rows.shape[1]), ord(" "), np.uint8)
-    out[:, ::2] = rows + ord("0")
+    out[:, ::2] = rows.view(np.uint8) | np.uint8(ord("0"))
     out[:, -1] = ord("\n")
     return out.tobytes()
 
@@ -152,23 +171,26 @@ def export_voxels_csv(pattern) -> bytes:
 
 def read_pattern(path, fmt: str | None = None) -> np.ndarray:
     """Load a pattern file, dispatching on extension unless ``fmt`` is given."""
-    path = Path(path)
-    fmt = fmt or _format_for(path)
-    data = path.read_bytes()
-    return read_pbm(data) if fmt == "pbm" else read_ndbin(data)
+    read, _ = _codec(path, fmt)
+    return read(Path(path).read_bytes())
 
 
 def write_pattern(path, pattern, fmt: str | None = None) -> None:
+    _, write = _codec(path, fmt)
+    Path(path).write_bytes(write(pattern))
+
+
+_CODECS = {"pbm": (read_pbm, write_pbm), "ndbin": (read_ndbin, write_ndbin)}
+
+
+def _codec(path, fmt):
+    """The reader and writer of ``fmt``, or of the path's extension if none is given."""
+    if fmt:
+        if fmt not in _CODECS:
+            raise FormatError(f"unknown format {fmt!r}; use 'pbm' or 'ndbin'")
+        return _CODECS[fmt]
     path = Path(path)
-    fmt = fmt or _format_for(path)
-    data = write_pbm(pattern) if fmt == "pbm" else write_ndbin(pattern)
-    path.write_bytes(data)
-
-
-def _format_for(path: Path) -> str:
-    suffix = path.suffix.lower()
-    if suffix == ".pbm":
-        return "pbm"
-    if suffix == ".ndbin":
-        return "ndbin"
-    raise FormatError(f"cannot infer format from {path.name!r}; use .pbm or .ndbin")
+    codec = _CODECS.get(path.suffix.lower()[1:])
+    if codec is None:
+        raise FormatError(f"cannot infer format from {path.name!r}; use .pbm or .ndbin")
+    return codec

@@ -227,6 +227,67 @@ class TestMatchesTokenizer:
         _assert_same_as_tokenizer(data)
 
 
+    def test_every_byte_as_separator(self):
+        # The blanks are the bytes of bytes.isspace(); any other byte between
+        # two bits makes the file fail, just as in the tokenizer.
+        for read, oracle, head in ((read_pbm, pbm_oracle, b"P1 2 1 1"),
+                                   (read_ndbin, ndbin_oracle, b"NDBIN 2 1 2 1")):
+            separators = set()
+            for byte in range(256):
+                data = head + bytes([byte]) + b"0"
+                got, want = _outcome(read, data), _outcome(oracle, data)
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want), data
+                    separators.add(byte)
+                else:
+                    assert got == want, data
+            assert separators == set(b" \t\n\r\v\f"), read
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_large_mutated_files(self, seed):
+        # Writer output of 64² and 320², with 0-3 edits: an unedited file takes
+        # the fast path, most edited ones the path that locates the fault. A
+        # comment line is then put into the payload, which the reader blanks.
+        rng = np.random.default_rng(seed)
+        side = (64, 320)[seed % 2]
+        arr = rng.random((side, side)) < rng.random()
+        data = (write_pbm, write_ndbin)[seed // 2 % 2](arr)
+        for _ in range(rng.integers(0, 4)):
+            at, cut = rng.integers(0, len(data) + 1), rng.integers(0, 4)
+            data = data[:at] + _PIECES[rng.integers(len(_PIECES))] + data[at + cut :]
+        line = data.find(b"\n", rng.integers(len(data) // 2, len(data))) + 1 or len(data)
+        for case in (data, data[:line] + b"# comment 1 0\n" + data[line:]):
+            _assert_same_as_tokenizer(case)
+
+
+# A 320² disc: its files end in background bits, "... 0 0\n".
+_DISC = np.add.outer(np.arange(-160, 160) ** 2, np.arange(-160, 160) ** 2) < 150**2
+
+
+@pytest.mark.parametrize("write, read", [(write_pbm, read_pbm), (write_ndbin, read_ndbin)])
+def test_payload_faults_near_the_end(write, read):
+    data, total = write(_DISC), _DISC.size
+    n = len(data)  # the last bit is at n - 2, its separator at n - 3
+    faults = [
+        (data[:-2] + b"x\n", f"invalid bit in b'x' (byte offset {n - 2})"),
+        (data + b"1\n", f"more than the {total} bits declared (byte offset {n})"),
+        (data[:-2] + b"\n", f"truncated data: got {total - 1} of {total} bits (byte offset {n - 1})"),
+    ]
+    if read is read_ndbin:  # one bit per token: the last two bits joined are one fault
+        faults.append((data[:-3] + data[-2:], f"invalid bit in b'00' (byte offset {n - 4})"))
+    for bad, message in faults:
+        with pytest.raises(ParseError) as exc:
+            read(bad)
+        assert str(exc.value) == message
+
+
+def test_read_gives_a_writable_array():
+    for arr in (read_pbm(b"P1 2 1 10"), read_ndbin(b"NDBIN 2 1 2 1 0")):
+        assert arr.dtype == bool and arr.flags.writeable and arr.flags.c_contiguous
+        arr[0, 0] = False
+        assert not arr.any()
+
+
 class TestVoxelsCsv:
     def test_empty(self):
         assert export_voxels_csv(np.zeros((2, 2), bool)) == b"x0,x1\n"
@@ -261,6 +322,16 @@ class TestPathDispatch:
         path = tmp_path / "a.dat"
         write_pattern(path, arr, fmt="pbm")
         assert np.array_equal(read_pattern(path, fmt="pbm"), arr)
+
+    def test_unknown_format_refused_before_any_io(self, tmp_path):
+        # Only "pbm" and "ndbin" name a format; "PBM" must not write NDBIN.
+        path = tmp_path / "x.pbm"
+        for fmt in ("PBM", "ndbin ", "txt"):
+            with pytest.raises(FormatError, match="unknown format"):
+                write_pattern(path, np.eye(2, dtype=bool), fmt=fmt)
+            assert not path.exists()
+            with pytest.raises(FormatError, match="unknown format"):  # not FileNotFoundError
+                read_pattern(tmp_path / "missing.pbm", fmt=fmt)
 
     def test_unknown_extension(self, tmp_path):
         with pytest.raises(FormatError):

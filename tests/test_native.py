@@ -53,7 +53,19 @@ def test_automatic_builds_native(kernel, tmp_path):
     assert _native.load() is not None
     assert thinned(PATTERN) == EXPECTED
     [library] = (tmp_path / "cache" / "slicethin").iterdir()
-    assert library.name.startswith("kernel-") and library.suffix == ".so"
+    assert library.name == _native._name(_native.SOURCE.read_bytes())
+
+
+def test_changed_source_gets_a_new_name(monkeypatch):
+    source = _native.SOURCE.read_bytes()
+    name = _native._name(source)
+    assert name.startswith("kernel-") and name.endswith(f"-{len(source)}.so")
+    same_length = source.replace(b"#define MAX_DIMS 8", b"#define MAX_DIMS 9")
+    assert same_length != source and len(same_length) == len(source)
+    names = {name, _native._name(same_length), _native._name(source + b"\n")}
+    monkeypatch.setattr(_native, "COMPILE", (*_native.COMPILE, "-g"))
+    names.add(_native._name(source))
+    assert len(names) == 4
 
 
 def test_missing_compiler_falls_back(kernel, monkeypatch, tmp_path):
@@ -151,6 +163,19 @@ def test_cached_load_starts_no_compiler(tmp_path):
             "print(_native.load() is not None, 'subprocess' in sys.modules)")
     assert run_python(code, XDG_CACHE_HOME=str(tmp_path)) == ["True", "True"]  # builds
     assert run_python(code, XDG_CACHE_HOME=str(tmp_path)) == ["True", "False"]
+
+
+@needs_cc
+def test_cached_load_imports_no_hashlib(tmp_path):
+    # The library is named with zlib, which numpy has loaded: a load from the
+    # cache must not add hashlib's few milliseconds to every CLI call.
+    code = ("import sys, numpy, slicethin.cli; before = set(sys.modules); "
+            "from slicethin import _native; assert _native.load() is not None; "
+            "print('loaded', *sorted(set(sys.modules) - before))")
+    run_python(code, XDG_CACHE_HOME=str(tmp_path))  # builds
+    added = run_python(code, XDG_CACHE_HOME=str(tmp_path))
+    assert added[0] == "loaded"
+    assert not {"hashlib", "_hashlib", "_blake2"} & set(added), added
 
 
 @needs_cc
