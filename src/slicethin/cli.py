@@ -4,6 +4,9 @@ Exit codes: 0 on success, 1 for algorithm/metric errors (e.g. a 2D-only
 baseline applied to a 3D pattern, margin violations), 2 for usage and
 format errors (bad flags, unparseable schedules or files, paths that
 cannot be read or written, a 3D pattern written as PBM).
+
+Each input file is read in the format its first token names, under any
+name; each output is written in the format its extension names.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ def _run_algorithm(algo, pattern, schedule=None):
 
 
 def cmd_thin(args) -> int:
-    pattern = read_pattern(args.input, args.input_format)
+    pattern = read_pattern(args.input)
     if args.schedule and args.algo != "nd":
         raise _UsageError("--schedule applies to --algo nd only")
     skeleton, iterations = _run_algorithm(args.algo, pattern, args.schedule or None)
-    write_pattern(args.output, skeleton, args.output_format)
+    write_pattern(args.output, skeleton)
     if args.metrics:
         report = metrics.evaluate(pattern, skeleton, iterations)
         print(report.csv_row(args.algo))
@@ -49,7 +52,7 @@ def cmd_compare(args) -> int:
         if algo not in ALGORITHMS:
             raise _UsageError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
     # Read and check every input before the header, so an error prints no rows.
-    patterns = [read_pattern(path, args.input_format) for path in args.input]
+    patterns = [read_pattern(path) for path in args.input]
     if set(algos) - {"nd"} and any(p.ndim != 2 for p in patterns):
         raise DimensionError("baseline thinning supports 2D patterns only")
     print(metrics.CSV_HEADER)
@@ -76,21 +79,17 @@ def _mean(values):
 def cmd_metrics(args) -> int:
     if args.iterations < 0:
         raise _UsageError(f"--iterations must be >= 0, got {args.iterations}")
-    pattern = read_pattern(args.input, args.input_format)
-    skeleton = read_pattern(args.skeleton, args.input_format)
+    pattern = read_pattern(args.input)
+    skeleton = read_pattern(args.skeleton)
     report = metrics.evaluate(pattern, skeleton, args.iterations)
     print(metrics.CSV_HEADER)
     print(report.csv_row(args.algorithm))
     return 0
 
 
-# The `gen` parameter flags: every parameter name in the shape table, once each.
-_SHAPE_PARAMS = dict.fromkeys(name for _, names, _ in shapes._SHAPES.values() for name in names)
-
-
 def cmd_gen(args) -> int:
     grid = _parse_grid(args.grid)
-    params = {name: getattr(args, name) for name in _SHAPE_PARAMS
+    params = {name: getattr(args, name) for name in shapes.PARAMS
               if getattr(args, name) is not None}
     try:
         pattern = shapes.generate(ShapeSpec(kind=args.shape, grid=grid, params=params))
@@ -100,7 +99,7 @@ def cmd_gen(args) -> int:
         raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    write_pattern(args.output, pattern, args.output_format)
+    write_pattern(args.output, pattern)
     return 0
 
 
@@ -130,14 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_thin.add_argument("--output", required=True)
     p_thin.add_argument("--schedule", help="nd schedule, e.g. '1fb,0fb' or '2fb;1fb,0fb'")
     p_thin.add_argument("--metrics", action="store_true", help="print a metrics CSV row")
-    p_thin.add_argument("--input-format", choices=("pbm", "ndbin"))
-    p_thin.add_argument("--output-format", choices=("pbm", "ndbin"))
     p_thin.set_defaults(func=cmd_thin)
 
     p_cmp = sub.add_parser("compare", help="metrics table across algorithms")
     p_cmp.add_argument("--input", nargs="+", required=True)
     p_cmp.add_argument("--algos", default="zs,gh,nd", help="comma list from nd,zs,gh")
-    p_cmp.add_argument("--input-format", choices=("pbm", "ndbin"))
     p_cmp.set_defaults(func=cmd_compare)
 
     p_met = sub.add_parser("metrics", help="evaluate an existing skeleton")
@@ -145,18 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--skeleton", required=True)
     p_met.add_argument("--iterations", type=int, default=0)
     p_met.add_argument("--algorithm", default="unknown", help="label for the CSV row")
-    p_met.add_argument("--input-format", choices=("pbm", "ndbin"))
     p_met.set_defaults(func=cmd_metrics)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic test shape")
-    p_gen.add_argument("--shape", required=True, choices=shapes.KINDS_2D + shapes.KINDS_3D)
+    p_gen.add_argument("--shape", required=True, choices=shapes.KINDS)
     p_gen.add_argument("--grid", required=True, help="e.g. 7x7 or 9x9x5")
-    for name in _SHAPE_PARAMS:
+    for name in shapes.PARAMS:
         p_gen.add_argument(f"--{name}", type=float)
     p_gen.add_argument("--rugged", type=float, help="boundary deletion probability")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--output", required=True)
-    p_gen.add_argument("--output-format", choices=("pbm", "ndbin"))
     p_gen.set_defaults(func=cmd_gen)
 
     return parser

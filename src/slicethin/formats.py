@@ -5,6 +5,8 @@ PBM follows the netpbm convention: magic ``P1``, ``width height`` header,
 NDBIN is a plain-text container: ``NDBIN\\n<k>\\n<N_1> ... <N_k>\\n``
 followed by the cells as whitespace-separated bits in row-major order.
 Both formats share one token grammar, stated in the README ("File formats").
+A file names its own format by its first token: ``read_pattern`` takes either,
+whatever the path, and ``write_pattern`` writes the one the extension names.
 
 A valid payload is decoded without an index per bit: comments, where there
 are any, are blanked out byte for byte, ``bytes.translate`` drops the blanks,
@@ -26,7 +28,7 @@ from .pattern import _MAX_CELLS, _MAX_DIMS, as_pattern
 
 
 class FormatError(ValueError):
-    """No file format could be inferred, or the format cannot hold the pattern."""
+    """A path names no format to write, or the format cannot hold the pattern."""
 
 
 class ParseError(ValueError):
@@ -67,10 +69,11 @@ def _next_int(data, pos, what, minimum=1, maximum=None):
     return value, end
 
 
-def _read(data: bytes, magic: bytes) -> np.ndarray:
-    tok, off, pos = _next_token(data, 0, "magic")
-    if tok != magic:
-        raise ParseError(f"unsupported magic {tok!r} (expected {magic!r})", off)
+def _read(data: bytes, magics=(b"P1", b"NDBIN")) -> np.ndarray:
+    magic, off, pos = _next_token(data, 0, "magic")
+    if magic not in magics:
+        expected = " or ".join(map(repr, magics))
+        raise ParseError(f"unsupported magic {magic!r} (expected {expected})", off)
     names = ("width", "height")
     if magic == b"NDBIN":
         k, pos = _next_int(data, pos, "dimension count", minimum=2, maximum=_MAX_DIMS)
@@ -136,12 +139,12 @@ def _body(arr) -> bytes:
 
 def read_pbm(data: bytes) -> np.ndarray:
     """Parse a plain (ASCII) PBM image into a 2D bool pattern."""
-    return _read(data, b"P1")
+    return _read(data, (b"P1",))
 
 
 def read_ndbin(data: bytes) -> np.ndarray:
     """Parse an NDBIN file into a k-dimensional bool pattern."""
-    return _read(data, b"NDBIN")
+    return _read(data, (b"NDBIN",))
 
 
 def write_pbm(pattern) -> bytes:
@@ -162,35 +165,25 @@ def write_ndbin(pattern) -> bytes:
 def export_voxels_csv(pattern) -> bytes:
     """One CSV line of coordinates per foreground cell, lexicographic order."""
     arr = as_pattern(pattern)
-    header = ",".join(f"x{i}" for i in range(arr.ndim))
-    lines = [header]
-    for c in np.argwhere(arr):
-        lines.append(",".join(map(str, c)))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    coords = np.argwhere(arr)
+    header = ",".join(f"x{i}" for i in range(arr.ndim)) + "\n"
+    # One % over every coordinate: no Python line per cell.
+    line = ",".join(["%d"] * arr.ndim) + "\n"
+    return (header + line * len(coords) % tuple(coords.ravel().tolist())).encode("ascii")
 
 
-def read_pattern(path, fmt: str | None = None) -> np.ndarray:
-    """Load a pattern file, dispatching on extension unless ``fmt`` is given."""
-    read, _ = _codec(path, fmt)
-    return read(Path(path).read_bytes())
+def read_pattern(path) -> np.ndarray:
+    """Load a PBM or NDBIN file, whichever its first token names."""
+    return _read(Path(path).read_bytes())
 
 
-def write_pattern(path, pattern, fmt: str | None = None) -> None:
-    _, write = _codec(path, fmt)
-    Path(path).write_bytes(write(pattern))
+_WRITERS = {".pbm": write_pbm, ".ndbin": write_ndbin}
 
 
-_CODECS = {"pbm": (read_pbm, write_pbm), "ndbin": (read_ndbin, write_ndbin)}
-
-
-def _codec(path, fmt):
-    """The reader and writer of ``fmt``, or of the path's extension if none is given."""
-    if fmt:
-        if fmt not in _CODECS:
-            raise FormatError(f"unknown format {fmt!r}; use 'pbm' or 'ndbin'")
-        return _CODECS[fmt]
+def write_pattern(path, pattern) -> None:
+    """Save a pattern in the format that the path's extension names."""
     path = Path(path)
-    codec = _CODECS.get(path.suffix.lower()[1:])
-    if codec is None:
+    write = _WRITERS.get(path.suffix.lower())
+    if write is None:
         raise FormatError(f"cannot infer format from {path.name!r}; use .pbm or .ndbin")
-    return codec
+    path.write_bytes(write(pattern))

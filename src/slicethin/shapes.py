@@ -81,8 +81,9 @@ _SHAPES = {
     "hyperboloid-two-sheet": (3, ("radius", "slope", "height"), partial(_hyperboloid, -1)),
     "elliptic-paraboloid": (3, ("radius", "height"), _paraboloid),
 }
-KINDS_2D = tuple(kind for kind, (ndim, _, _) in _SHAPES.items() if ndim == 2)
-KINDS_3D = tuple(kind for kind, (ndim, _, _) in _SHAPES.items() if ndim == 3)
+KINDS = tuple(_SHAPES)
+# Every parameter name in the table, once each, in order of first use.
+PARAMS = tuple(dict.fromkeys(name for _, names, _ in _SHAPES.values() for name in names))
 
 
 def _centered(grid):

@@ -334,7 +334,6 @@ def _argv(draw):
                        pick("3", "0", "-1", "nan", "inf", "x", "0x3", "7x7", "blob")),
                 *maybe("--rugged", pick("0.5", "2", "nan"), "--seed", pick("3", "-1")),
                 "--output", pick(*_OUTS)]
-    argv += maybe(pick("--input-format", "--output-format"), pick("pbm", "ndbin"))
     for _ in range(draw(hyp.integers(0, 2))):
         argv.insert(draw(hyp.integers(0, len(argv))), pick(*_NOISE))
     return argv

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
-from oracles import ndbin_oracle, pbm_oracle
+from oracles import foreground_coords, ndbin_oracle, pbm_oracle
 from slicethin.cli import main
 from slicethin.formats import (
     FormatError,
@@ -302,6 +302,13 @@ class TestVoxelsCsv:
         arr[1, 1, 1] = arr[0, 0, 0] = True
         assert export_voxels_csv(arr) == b"x0,x1,x2\n0,0,0\n1,1,1\n"
 
+    def test_multi_digit_coordinates(self):
+        arr = np.random.default_rng(4).random((12, 3, 11, 105)) < 0.2
+        arr[11, 2, 10, 104] = True
+        lines = [",".join(map(str, c)) for c in sorted(foreground_coords(arr))]
+        want = "x0,x1,x2,x3\n" + "".join(line + "\n" for line in lines)
+        assert export_voxels_csv(arr) == want.encode()
+
 
 class TestPathDispatch:
     def test_pbm_roundtrip(self, tmp_path):
@@ -317,22 +324,43 @@ class TestPathDispatch:
         write_pattern(path, arr)
         assert np.array_equal(read_pattern(path), arr)
 
-    def test_explicit_format_override(self, tmp_path):
-        arr = np.eye(3, dtype=bool)
-        path = tmp_path / "a.dat"
-        write_pattern(path, arr, fmt="pbm")
-        assert np.array_equal(read_pattern(path, fmt="pbm"), arr)
+    def test_any_name_reads_by_magic(self, tmp_path):
+        # The first token picks the reader: the name, and its extension, do not.
+        arrays = {"a.pbm": np.eye(3, dtype=bool), "a.ndbin": np.eye(4, dtype=bool)[:, :3, None]}
+        for name, arr in arrays.items():
+            write_pattern(tmp_path / name, arr)
+            data = (tmp_path / name).read_bytes()
+            for copy in ("a.dat", "noextension"):
+                (tmp_path / copy).write_bytes(data)
+                got = read_pattern(tmp_path / copy)
+                assert got.shape == arr.shape and np.array_equal(got, arr)
 
-    def test_unknown_format_refused_before_any_io(self, tmp_path):
-        # Only "pbm" and "ndbin" name a format; "PBM" must not write NDBIN.
-        path = tmp_path / "x.pbm"
-        for fmt in ("PBM", "ndbin ", "txt"):
-            with pytest.raises(FormatError, match="unknown format"):
-                write_pattern(path, np.eye(2, dtype=bool), fmt=fmt)
-            assert not path.exists()
-            with pytest.raises(FormatError, match="unknown format"):  # not FileNotFoundError
-                read_pattern(tmp_path / "missing.pbm", fmt=fmt)
+    def test_pbm_name_holding_ndbin(self, tmp_path):
+        arr = np.zeros((2, 3, 2), bool)
+        arr[1, 2, 0] = True
+        path = tmp_path / "a.pbm"
+        path.write_bytes(write_ndbin(arr))
+        assert np.array_equal(read_pattern(path), arr)
 
-    def test_unknown_extension(self, tmp_path):
-        with pytest.raises(FormatError):
-            read_pattern(tmp_path / "a.dat")
+    def test_unknown_magic(self, tmp_path, capsys):
+        path = tmp_path / "a.pbm"
+        path.write_bytes(b"P2\n2 2\n0 1\n1 0\n")
+        with pytest.raises(ParseError) as exc:
+            read_pattern(path)
+        assert exc.value.offset == 0
+        assert str(exc.value) == (
+            "unsupported magic b'P2' (expected b'P1' or b'NDBIN') (byte offset 0)"
+        )
+        assert main(["metrics", "--input", str(path), "--skeleton", str(path)]) == 2
+        assert "unsupported magic b'P2'" in capsys.readouterr().err
+
+    def test_write_needs_a_known_extension(self, tmp_path):
+        for name in ("x.dat", "x.PBMX", "x"):
+            with pytest.raises(FormatError, match="use .pbm or .ndbin"):
+                write_pattern(tmp_path / name, np.eye(2, dtype=bool))
+            assert not (tmp_path / name).exists()
+        # The extension's case does not matter.
+        write_pattern(tmp_path / "x.PBM", np.eye(2, dtype=bool))
+        assert (tmp_path / "x.PBM").read_bytes() == write_pbm(np.eye(2, dtype=bool))
+        write_pattern(tmp_path / "x.NdBin", np.eye(2, dtype=bool))
+        assert (tmp_path / "x.NdBin").read_bytes() == write_ndbin(np.eye(2, dtype=bool))

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from slicethin.shapes import (
-    KINDS_2D,
-    KINDS_3D,
+    KINDS,
     MarginError,
     RuggedSpec,
     ShapeSpec,
@@ -86,7 +85,7 @@ class TestGenerate:
         assert hashlib.sha256(p.tobytes()).hexdigest() == digest
 
     def test_pinned_masks_cover_every_kind(self):
-        assert sorted({row[0] for row in SHAPE_DIGESTS}) == sorted(KINDS_2D + KINDS_3D)
+        assert sorted({row[0] for row in SHAPE_DIGESTS}) == sorted(KINDS)
 
     def test_wrong_grid_rank(self):
         with pytest.raises(ValueError):
@@ -134,7 +133,7 @@ class TestGenerate:
             ),
             "elliptic-paraboloid": spec("elliptic-paraboloid", (13, 13, 7), radius=2, height=5),
         }
-        assert set(grids) == set(KINDS_2D + KINDS_3D)
+        assert set(grids) == set(KINDS)
         for s in grids.values():
             assert generate(s).any()
 
