@@ -4,7 +4,10 @@
  *
  * slicethin_subcycle: one nd deletion sub-cycle, the scan and the plane test
  * of the Python kernel (thinning._python_subcycle). The strides and the
- * plane offsets are built here, once per call, from the padded shape.
+ * plane offsets are built here, once per call, from the padded shape. For
+ * k <= 4 the plane test holds each plane as one 64-bit mask and dilates it
+ * by shifts, with the line masks lo/hi built beside the offsets; for
+ * k = 5..8 it works on byte planes (see deletable).
  *
  * slicethin_sweep: a whole Zhang-Suen or Guo-Hall run, the mark-then-sweep
  * loop of the numpy driver (baselines._numpy_sweep), coding only the pixels
@@ -14,6 +17,7 @@
  * components, by a flood fill over the runs along the last axis.
  */
 #include <stddef.h>
+#include <stdint.h>
 #include <string.h>
 
 #define MAX_DIMS 8     /* pattern._MAX_DIMS; as_pattern rejects larger k */
@@ -23,10 +27,38 @@
  * last plane axis fastest (p is cell n / 2); ahead steps to the plane ahead.
  * An end-point (<= 2 foreground cells in the 3^k block, p included) stays.
  * Otherwise the foreground of the plane ahead must lie in the one-cell box
- * dilation of p's plane with p left out, or p carries a connection to it. */
+ * dilation of p's plane with p left out, or p carries a connection to it.
+ *
+ * Up to k = 4 (n <= 64) each plane is one word, bit j for cell j: near is
+ * p's plane without p, fwd the plane ahead, and lo[d] / hi[d] mark the cells
+ * whose digit d (cube stride 3^d) is not 2 / not 0, the cells that a shift
+ * by 3^d up / down keeps in their line. The caller tests an extreme whose
+ * neighbour behind it along the axis is foreground, so the block holds p and
+ * that neighbour, and any other foreground cell of p's plane makes it no
+ * end-point: the count is read only when p is alone in its plane. */
 static int deletable(const unsigned char *buf, ptrdiff_t i, const ptrdiff_t *plane,
-                     ptrdiff_t n, ptrdiff_t ahead)
+                     ptrdiff_t n, ptrdiff_t ahead, const uint64_t *lo, const uint64_t *hi)
 {
+    if (n <= 64) {
+        uint64_t near = 0, fwd = 0;
+        int d = 0;
+        for (ptrdiff_t j = 0; j < n; j++) {
+            near |= (uint64_t)buf[i + plane[j]] << j;
+            fwd |= (uint64_t)buf[i + ahead + plane[j]] << j;
+        }
+        near &= ~((uint64_t)1 << n / 2);
+        if (!near) { /* p alone: the block is p, the plane behind and fwd */
+            int count = 0;
+            if (fwd)
+                return 0; /* the dilation of an empty plane is empty */
+            for (ptrdiff_t j = 0; j < n; j++)
+                count += buf[i - ahead + plane[j]];
+            return count > 1; /* with p, more than 2 */
+        }
+        for (ptrdiff_t t = 1; t < n; t *= 3, d++) /* one pass per plane axis */
+            near |= ((near & lo[d]) << t) | ((near & hi[d]) >> t);
+        return !(fwd & ~near);
+    }
     unsigned char near[MAX_PLANE];
     int count = 0;
     for (ptrdiff_t j = 0; j < n; j++) {
@@ -57,7 +89,8 @@ ptrdiff_t slicethin_subcycle(unsigned char *buf, int ndim, const ptrdiff_t *shap
                              int do_f, int do_b)
 {
     ptrdiff_t strides[MAX_DIMS], coord[MAX_DIMS], plane[MAX_PLANE], size = 1, n = 1, deleted = 0;
-    int d;
+    uint64_t lo[MAX_DIMS] = {0}, hi[MAX_DIMS] = {0}; /* set only where n <= 64 */
+    int d, c;
     if (ndim > MAX_DIMS) /* the arrays above are sized for MAX_DIMS */
         return 0;
     for (d = ndim - 1; d >= 0; d--) {
@@ -71,10 +104,15 @@ ptrdiff_t slicethin_subcycle(unsigned char *buf, int ndim, const ptrdiff_t *shap
     for (ptrdiff_t j = 0; j < n; j++) { /* base-3 digits of j, less 1, last plane axis lowest */
         ptrdiff_t r = j;
         plane[j] = 0;
-        for (d = ndim - 1; d >= 0; d--)
+        for (d = ndim - 1, c = 0; d >= 0; d--)
             if (d != axis) {
                 plane[j] += (r % 3 - 1) * strides[d];
+                if (n <= 64) {
+                    lo[c] |= (uint64_t)(r % 3 != 2) << j;
+                    hi[c] |= (uint64_t)(r % 3 != 0) << j;
+                }
                 r /= 3;
+                c++;
             }
     }
     ptrdiff_t step = strides[axis], len = shape[axis] - 2;
@@ -97,11 +135,11 @@ ptrdiff_t slicethin_subcycle(unsigned char *buf, int ndim, const ptrdiff_t *shap
             i += 2 * step;
             if (front == back)
                 continue;
-            if (do_f && deletable(buf, front, plane, n, step)) {
+            if (do_f && deletable(buf, front, plane, n, step, lo, hi)) {
                 buf[front] = 0;
                 deleted++;
             }
-            if (do_b && buf[back + step] && deletable(buf, back, plane, n, -step)) {
+            if (do_b && buf[back + step] && deletable(buf, back, plane, n, -step, lo, hi)) {
                 buf[back] = 0;
                 deleted++;
             }

@@ -108,10 +108,11 @@ class _UsageError(ValueError):
 
 
 def _parse_grid(text):
-    try:
-        dims = tuple(int(part) for part in text.lower().split("x"))
-    except ValueError:
-        raise _UsageError(f"bad grid {text!r}; expected e.g. 7x7 or 9x9x5") from None
+    parts = text.lower().split("x")
+    # ASCII digits only: int() would also take "1_0", "+7", " 7" and "٧".
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise _UsageError(f"bad grid {text!r}; expected e.g. 7x7 or 9x9x5")
+    dims = tuple(map(int, parts))
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise _UsageError(f"bad grid {text!r}; need >= 2 positive dimensions")
     return dims

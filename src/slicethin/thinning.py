@@ -28,7 +28,7 @@ class ScheduleError(ValueError):
     """Malformed schedule text or schedule/pattern mismatch."""
 
 
-_SUB_RE = re.compile(r"(\d+)(fb|f|b)")
+_SUB_RE = re.compile(r"([0-9]+)(fb|f|b)")  # \d would take "١"
 
 
 def _phases(schedule, k):

@@ -201,10 +201,15 @@ class TestGenCommand:
                      "--grid", "7x7", "--output", str(tmp_path / "s.pbm")])
         assert code == 1
 
-    def test_bad_grid(self, tmp_path):
+    # int() takes the last three; a grid takes ASCII digits only.
+    @pytest.mark.parametrize("grid", ["7by7", "1_0x5", "+7x7", "٧x٧"])
+    def test_bad_grid(self, tmp_path, capsys, grid):
+        out = tmp_path / "s.pbm"
         code = main(["gen", "--shape", "square", "--side", "3",
-                     "--grid", "7by7", "--output", str(tmp_path / "s.pbm")])
+                     "--grid", grid, "--output", str(out)])
         assert code == 2
+        assert "bad grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_parameter(self, tmp_path):
         code = main(["gen", "--shape", "disc", "--grid", "9x9",

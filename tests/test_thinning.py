@@ -38,7 +38,7 @@ class TestSchedule:
             p = random_pattern((7, 7, 7), 0.5, seed)
             assert_same_thinning(thin(p), thin(p, "2fb,1fb,0fb"))
 
-    @pytest.mark.parametrize("bad", ["", "x", "1fb,", "1c", "fb1", "1 fb", ";", "1fb;;0fb"])
+    @pytest.mark.parametrize("bad", ["", "x", "1fb,", "1c", "fb1", "1 fb", ";", "1fb;;0fb", "١fb"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ScheduleError):
             thin(np.ones((4, 4), bool), bad)
