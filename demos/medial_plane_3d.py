@@ -12,8 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
-from slicethin import RuggedSpec, ShapeSpec, generate, ruggedize, thin
-from slicethin.formats import export_voxels_csv, write_ndbin
+from slicethin import (
+    RuggedSpec,
+    ShapeSpec,
+    export_voxels_csv,
+    generate,
+    ruggedize,
+    thin,
+    write_pattern,
+)
 
 outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("demo_out")
 outdir.mkdir(parents=True, exist_ok=True)
@@ -38,7 +45,7 @@ plane, _ = thin(box, "2fb")
 assert (plane.sum(axis=2) <= 1).all()
 axis, _ = thin(box, "2fb;1fb,0fb")
 print(f"box medial plane: {int(plane.sum())} voxels; medial axis: {int(axis.sum())}")
-(outdir / "box_medial_plane.ndbin").write_bytes(write_ndbin(plane))
+write_pattern(outdir / "box_medial_plane.ndbin", plane)
 (outdir / "box_medial_plane.csv").write_bytes(export_voxels_csv(plane))
 (outdir / "box_medial_axis.csv").write_bytes(export_voxels_csv(axis))
 print(f"voxel CSVs written to {outdir}/")

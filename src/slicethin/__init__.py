@@ -1,37 +1,38 @@
 """Sequential slice-based thinning of k-dimensional binary patterns."""
 
-from .baselines import gh_thin, zs_thin
-from .formats import (
-    export_voxels_csv,
-    read_ndbin,
-    read_pbm,
-    write_ndbin,
-    write_pbm,
-)
-from .metrics import MetricsReport, evaluate, measure_mt, size_ratio
-from .pattern import as_pattern, component_count
-from .shapes import RuggedSpec, ShapeSpec, generate, ruggedize
-from .thinning import thin
+# The module of each public name. A name is imported on first use (PEP 562),
+# so that importing one module, such as ``slicethin.cli``, loads only what
+# that module uses: the CLI's thin, compare and metrics load no numpy.
+_EXPORTS = {
+    "MetricsReport": "metrics",
+    "RuggedSpec": "shapes",
+    "ShapeSpec": "shapes",
+    "as_pattern": "pattern",
+    "component_count": "pattern",
+    "evaluate": "metrics",
+    "export_voxels_csv": "formats",
+    "generate": "shapes",
+    "gh_thin": "baselines",
+    "measure_mt": "metrics",
+    "read_pattern": "formats",
+    "ruggedize": "shapes",
+    "size_ratio": "metrics",
+    "thin": "thinning",
+    "write_pattern": "formats",
+    "zs_thin": "baselines",
+}
 
-__all__ = [
-    "MetricsReport",
-    "RuggedSpec",
-    "ShapeSpec",
-    "as_pattern",
-    "component_count",
-    "evaluate",
-    "export_voxels_csv",
-    "generate",
-    "gh_thin",
-    "measure_mt",
-    "read_ndbin",
-    "read_pbm",
-    "ruggedize",
-    "size_ratio",
-    "thin",
-    "write_ndbin",
-    "write_pbm",
-    "zs_thin",
-]
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+

@@ -15,6 +15,10 @@
  *
  * slicethin_components: the number of (3^k - 1)-connected foreground
  * components, by a flood fill over the runs along the last axis.
+ *
+ * slicethin_counts: what the metrics count of an input and its skeleton, in
+ * one pass over both: the areas, the skeleton cells outside the input and
+ * the 2x2-covered skeleton cells (metrics._numpy_counts).
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -297,4 +301,41 @@ ptrdiff_t slicethin_components(unsigned char *buf, int ndim, const ptrdiff_t *sh
         }
     }
     return count;
+}
+
+/* Whether the 2x2 window with top-left corner t is all foreground. */
+static int full_window(const unsigned char *buf, ptrdiff_t t, ptrdiff_t cols)
+{
+    return buf[t] && buf[t + 1] && buf[t + cols] && buf[t + cols + 1];
+}
+
+/* input and skeleton are padded buffers of one shape. Fills counts with the
+ * input's area, the skeleton's area, the skeleton cells outside the input
+ * and, in 2D, the skeleton cells that an all-foreground 2x2 window of the
+ * skeleton covers (0 for k > 2); returns 0. A covered cell is the corner of
+ * a full window whose top-left corner is the cell itself or its neighbour
+ * to the west, north or north-west. Only interior cells are foreground, so
+ * every window read is in bounds. */
+ptrdiff_t slicethin_counts(const unsigned char *input, const unsigned char *skeleton, int ndim,
+                           const ptrdiff_t *shape, ptrdiff_t *counts)
+{
+    ptrdiff_t size = 1, cols = shape[ndim - 1], area_in = 0, area_sk = 0, outside = 0, covered = 0;
+    int d;
+    for (d = 0; d < ndim; d++)
+        size *= shape[d];
+    for (ptrdiff_t i = 0; i < size; i++) {
+        area_in += input[i];
+        if (!skeleton[i])
+            continue;
+        area_sk++;
+        outside += !input[i];
+        covered += ndim == 2 && (full_window(skeleton, i - cols - 1, cols) ||
+                                 full_window(skeleton, i - cols, cols) ||
+                                 full_window(skeleton, i - 1, cols) || full_window(skeleton, i, cols));
+    }
+    counts[0] = area_in;
+    counts[1] = area_sk;
+    counts[2] = outside;
+    counts[3] = covered;
+    return 0;
 }

@@ -10,10 +10,12 @@ layout (row x grows downward, column y rightward):
     P7 P6 P5
 
 Whether P1 is deletable depends only on P2..P9, so each rule is a scalar
-predicate per sub-iteration, tabulated at import over the 256 neighbor
-codes (bit i of the code is P(i+2)), a row per sub-iteration.
+predicate per sub-iteration, tabulated over the 256 neighbor codes (bit i
+of the code is P(i+2)): one 256-byte table per sub-iteration, held as a
+bytes literal so that import builds nothing (the tests rebuild the tables
+from the rules).
 
-One driver applies the table, in place on the buffer of ``pattern._padded``.
+One driver applies the tables, in place on the buffer of ``pattern._padded``.
 It runs in C (``slicethin_sweep`` of the library that ``_native.load`` gives
 on the first call) wherever a library loads, coding only the pixels of a
 contour list: at first every foreground pixel with a background 8-neighbor,
@@ -27,10 +29,8 @@ same skeletons and iteration counts.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import _native
-from .pattern import DimensionError, _padded, as_pattern
+from .pattern import DimensionError, _as_given, _padded, _scratch
 
 # (row, column) offsets of P2..P9.
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
@@ -71,35 +71,67 @@ def _gh_deletable(first, p2, p3, p4, p5, p6, p7, p8, p9):
     return cp == 1 and min(np1, np2) in (2, 3) and not directional
 
 
-def _tables(rule):
-    """The rule's (2, 256) bool table: a row per sub-iteration, indexed by neighbor code."""
-    rings = [[bool(code >> i & 1) for i in range(8)] for code in range(256)]
-    return np.array([[rule(first, *ring) for ring in rings] for first in (True, False)])
-
-
-_ZS_TABLES = _tables(_zs_deletable)
-_GH_TABLES = _tables(_gh_deletable)
+# Per rule, a 256-byte table per sub-iteration: byte c is whether the rule
+# deletes a pixel of neighbor code c.
+_ZS_TABLES = (
+    b"\0\0\0\1\0\0\1\1\0\0\0\0\1\0\1\1\0\0\0\0\0\0\0\0\1\0\0\0\1\0\1\0"
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\1\0\0\0\0\0\0\0\1\0\0\0\1\0\1\0"
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+    b"\1\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\1\0\0\0\0\0\0\0\1\0\0\0\0\0\0\0"
+    b"\0\1\0\1\0\0\0\1\0\0\0\0\0\0\0\1\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+    b"\1\1\0\1\0\0\0\1\0\0\0\0\0\0\0\1\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+    b"\1\1\0\1\0\0\0\1\0\0\0\0\0\0\0\0\1\1\0\1\0\0\0\0\1\1\0\0\0\0\0\0",
+    b"\0\0\0\1\0\0\1\1\0\0\0\0\1\0\1\1\0\0\0\0\0\0\0\0\1\0\0\0\1\0\1\1"
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\1\0\0\0\0\0\0\0\1\0\0\0\1\0\1\1"
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+    b"\1\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\1\0\0\0\0\0\0\0\1\0\0\0\1\0\1\0"
+    b"\0\1\0\1\0\0\0\1\0\0\0\0\0\0\0\1\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\1"
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+    b"\1\1\0\1\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+    b"\1\1\0\1\0\0\0\0\0\0\0\0\0\0\0\0\1\0\0\0\0\0\0\0\1\0\0\0\1\0\0\0",
+)
+_GH_TABLES = (
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\1\0\0\0"
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\1\0\0\0\1\0\0\0"
+    b"\0\1\0\1\0\0\0\0\0\0\0\0\0\0\0\0\1\1\0\1\0\0\0\0\1\1\0\0\1\0\0\0"
+    b"\0\1\0\1\0\0\0\0\0\0\0\0\0\0\0\0\1\1\0\1\0\0\0\0\1\1\0\0\1\0\0\0"
+    b"\0\0\0\1\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+    b"\0\1\0\1\0\0\0\0\0\0\0\0\0\0\0\0\1\1\0\1\0\0\0\0\1\1\0\0\1\0\0\0"
+    b"\1\1\0\1\0\0\0\0\0\0\0\0\0\0\0\0\1\1\0\1\0\0\0\0\1\1\0\0\1\0\0\0",
+    b"\0\0\0\0\0\1\0\1\0\0\0\0\0\1\1\1\0\0\0\0\1\1\1\1\0\0\0\0\1\1\1\1"
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\1\1\1\1\1\0\0\0\1\1\1\1"
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+    b"\0\0\0\1\0\1\0\1\0\0\0\0\0\1\0\1\0\0\0\0\0\1\0\1\0\0\0\0\0\1\0\1"
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+    b"\0\1\0\1\0\1\0\1\0\0\0\0\0\1\0\1\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0"
+    b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0",
+)
 
 
 def _thin(pattern, tables):
-    img = as_pattern(pattern)
-    if img.ndim != 2:
+    padded = _padded(pattern)
+    if padded.ndim != 2:
         raise DimensionError("baseline thinning supports 2D patterns only")
-    padded = _padded(img)
     lib = _native.load()
     if lib is None:
-        iterations = _numpy_sweep(padded, tables)
+        iterations = _numpy_sweep(padded.array(), tables)
     else:
-        # The contour list; named, so that it outlives the call.
-        scratch = np.empty(img.size, np.intp)
-        iterations = lib.slicethin_sweep(padded.ctypes.data, *padded.shape, tables.ctypes.data,
-                                         scratch.ctypes.data)
-    return padded.view(bool)[1:-1, 1:-1].copy(), iterations
+        rows, cols = padded.shape
+        # The contour list: one entry per pattern cell at most.
+        scratch = _scratch((rows - 2) * (cols - 2), pattern)
+        iterations = lib.slicethin_sweep(padded.ptr, rows, cols, b"".join(tables), scratch)
+    return _as_given(padded, pattern), iterations
 
 
 def _numpy_sweep(padded, tables):
-    """The sweep, coding every pixel, in place on ``padded``; returns the
-    number of iterations, the last one deleting nothing."""
+    """The sweep, coding every pixel, in place on the padded uint8 array;
+    returns the number of iterations, the last one deleting nothing."""
+    import numpy as np
+
+    tables = [np.frombuffer(table, bool) for table in tables]
     h, w = padded.shape[0] - 2, padded.shape[1] - 2
     # P2..P9 of every pixel, as views: each sub-iteration reads the live image.
     ring = [padded[1 + dx : 1 + dx + h, 1 + dy : 1 + dy + w] for dx, dy in _RING]

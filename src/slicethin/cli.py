@@ -7,16 +7,22 @@ cannot be read or written, a 3D pattern written as PBM).
 
 Each input file is read in the format its first token names, under any
 name; each output is written in the format its extension names.
+
+The CLI holds each pattern as a ``pattern.Padded`` from read to write, and
+thin, compare and metrics import no numpy wherever the C kernels load;
+gen builds its shapes with numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import astuple
 
 from . import baselines, metrics, shapes, thinning
-from .formats import FormatError, ParseError, read_pattern, write_pattern
+from .formats import FormatError, ParseError, write_pattern
+from .formats import read_padded as read_pattern  # the name perfbench/tracing.py wraps
 from .pattern import DimensionError
 from .shapes import MarginError, RuggedSpec, ShapeSpec
 from .thinning import ScheduleError
@@ -118,6 +124,24 @@ def _parse_grid(text):
     return dims
 
 
+# ASCII only: int() and float() would also take "1_0", " 7" and "٧".
+_INT = re.compile(r"-?[0-9]+")
+_FLOAT = re.compile(r"[-+]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|infinity|nan)",
+                    re.IGNORECASE | re.ASCII)
+
+
+def _ascii_int(text):
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}; expected ASCII digits")
+    return int(text)
+
+
+def _ascii_float(text):
+    if not _FLOAT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"bad number {text!r}; expected e.g. 3, 2.5 or 1e-3")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicethin", description="Thinning of k-dimensional binary patterns."
@@ -140,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_met = sub.add_parser("metrics", help="evaluate an existing skeleton")
     p_met.add_argument("--input", required=True)
     p_met.add_argument("--skeleton", required=True)
-    p_met.add_argument("--iterations", type=int, default=0)
+    p_met.add_argument("--iterations", type=_ascii_int, default=0)
     p_met.add_argument("--algorithm", default="unknown", help="label for the CSV row")
     p_met.set_defaults(func=cmd_metrics)
 
@@ -148,9 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--shape", required=True, choices=shapes.KINDS)
     p_gen.add_argument("--grid", required=True, help="e.g. 7x7 or 9x9x5")
     for name in shapes.PARAMS:
-        p_gen.add_argument(f"--{name}", type=float)
-    p_gen.add_argument("--rugged", type=float, help="boundary deletion probability")
-    p_gen.add_argument("--seed", type=int, default=0)
+        p_gen.add_argument(f"--{name}", type=_ascii_float)
+    p_gen.add_argument("--rugged", type=_ascii_float, help="boundary deletion probability")
+    p_gen.add_argument("--seed", type=_ascii_int, default=0)
     p_gen.add_argument("--output", required=True)
     p_gen.set_defaults(func=cmd_gen)
 

@@ -4,6 +4,10 @@ The size ratio appears in the literature under both s_r and d_r; this
 module uses ``s_r``. The unit-width measure is defined for 2D skeletons
 only; reports for higher-dimensional patterns carry ``m_t = None`` and
 serialize it as ``NA``.
+
+Every metric is a ratio of counts that ``_counts`` takes in one pass over
+the padded input and skeleton: ``slicethin_counts`` in C wherever a library
+loads, ``_numpy_counts`` only where none loads.
 """
 
 from __future__ import annotations
@@ -11,9 +15,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import astuple, dataclass, fields
 
-import numpy as np
-
-from .pattern import DimensionError, as_pattern, component_count
+from . import _native
+from .pattern import DimensionError, _padded, component_count
 
 
 class UndefinedMetricError(ValueError):
@@ -41,30 +44,65 @@ class MetricsReport:
 CSV_HEADER = ",".join(("algorithm", *(f.name for f in fields(MetricsReport))))
 
 
-def measure_mt(skeleton) -> float:
-    """Convergence to unit width: 1 - (2x2-covered pixels / foreground)."""
-    arr = as_pattern(skeleton)
-    if arr.ndim != 2:
-        raise DimensionError("measure_mt is defined for 2D skeletons only")
-    area = np.count_nonzero(arr)
+def _counts(inp, sk):
+    """The input's area, the skeleton's area, the skeleton cells outside the
+    input and, in 2D, the skeleton cells covered by an all-foreground 2x2
+    window of the skeleton, of two ``Padded`` of one shape."""
+    lib = _native.load()
+    if lib is None:
+        return _numpy_counts(inp.array(), sk.array())
+    counts = _native.scratch(4)
+    lib.slicethin_counts(inp.ptr, sk.ptr, inp.ndim, inp.sizes, _native.pointer(counts))
+    return tuple(memoryview(counts).cast("n")[:4])
+
+
+def _numpy_counts(inp, sk):
+    """``_counts`` of the padded uint8 arrays ``inp`` and ``sk``, in numpy."""
+    import numpy as np
+
+    inp, sk = inp.view(bool), sk.view(bool)
+    covered = 0
+    if sk.ndim == 2:
+        # Full windows by top-left corner; a cell is covered by the window at
+        # itself or at its neighbour to the west, north or north-west.
+        blocks = sk[:-1, :-1] & sk[1:, :-1] & sk[:-1, 1:] & sk[1:, 1:]
+        covered = blocks[:-1, :-1] | blocks[1:, :-1] | blocks[:-1, 1:] | blocks[1:, 1:]
+    areas = (np.count_nonzero(inp), np.count_nonzero(sk), np.count_nonzero(sk & ~inp))
+    return (*map(int, areas), int(np.count_nonzero(covered)))
+
+
+def _unit_width(area, covered):
     if area == 0:
         raise UndefinedMetricError("measure_mt is undefined for an empty skeleton")
-    # Pixels covered by at least one all-foreground 2x2 window.
-    blocks = np.pad(arr[:-1, :-1] & arr[1:, :-1] & arr[:-1, 1:] & arr[1:, 1:], 1)
-    covered = blocks[:-1, :-1] | blocks[1:, :-1] | blocks[:-1, 1:] | blocks[1:, 1:]
-    return float(1 - np.count_nonzero(covered) / area)
+    return 1 - covered / area
+
+
+def _ratio(area_input, area_skeleton):
+    if area_input == 0:
+        raise UndefinedMetricError("size_ratio is undefined for an empty input")
+    return area_skeleton / area_input
+
+
+def _same_shape(inp, sk):
+    if inp.shape != sk.shape:
+        raise ValueError(f"shape mismatch: {inp.pattern_shape} vs {sk.pattern_shape}")
+
+
+def measure_mt(skeleton) -> float:
+    """Convergence to unit width: 1 - (2x2-covered pixels / foreground)."""
+    sk = _padded(skeleton)
+    if sk.ndim != 2:
+        raise DimensionError("measure_mt is defined for 2D skeletons only")
+    _, area, _, covered = _counts(sk, sk)
+    return _unit_width(area, covered)
 
 
 def size_ratio(input_pattern, skeleton) -> float:
     """Skeleton foreground count over input foreground count."""
-    inp = as_pattern(input_pattern)
-    sk = as_pattern(skeleton)
-    if inp.shape != sk.shape:
-        raise ValueError(f"shape mismatch: {inp.shape} vs {sk.shape}")
-    area_in = np.count_nonzero(inp)
-    if area_in == 0:
-        raise UndefinedMetricError("size_ratio is undefined for an empty input")
-    return float(np.count_nonzero(sk) / area_in)
+    inp, sk = _padded(input_pattern), _padded(skeleton)
+    _same_shape(inp, sk)
+    area_input, area_skeleton, _, _ = _counts(inp, sk)
+    return _ratio(area_input, area_skeleton)
 
 
 def evaluate(input_pattern, skeleton, iterations: int) -> MetricsReport:
@@ -76,16 +114,20 @@ def evaluate(input_pattern, skeleton, iterations: int) -> MetricsReport:
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    inp = as_pattern(input_pattern)
-    sk = as_pattern(skeleton)
-    if inp.shape == sk.shape and np.any(sk & ~inp):
+    inp, sk = _padded(input_pattern), _padded(skeleton)
+    if inp.shape != sk.shape:
+        if sk.ndim == 2:
+            measure_mt(sk)  # an empty 2D skeleton is reported before the mismatch
+        _same_shape(inp, sk)
+    area_input, area_skeleton, outside, covered = _counts(inp, sk)
+    if outside:
         warnings.warn("skeleton is not a subset of the input foreground", stacklevel=2)
-    m_t = measure_mt(sk) if sk.ndim == 2 else None
+    m_t = _unit_width(area_skeleton, covered) if sk.ndim == 2 else None
     return MetricsReport(
-        s_r=size_ratio(inp, sk),
+        s_r=_ratio(area_input, area_skeleton),
         m_t=m_t,
         n=int(iterations),
-        component_delta=component_count(sk) - component_count(inp),
-        area_input=int(np.count_nonzero(inp)),
-        area_skeleton=int(np.count_nonzero(sk)),
+        component_delta=component_count(skeleton) - component_count(input_pattern),
+        area_input=area_input,
+        area_skeleton=area_skeleton,
     )

@@ -8,15 +8,18 @@ face of the grid.
 
 3D quadrics (cylinder, hyperboloids, paraboloid) are built around the last
 axis (axis 2, "z"); their cross-sections live in the first two axes.
+
+The solids use only operators and builtins on the coordinate arrays, and
+numpy is imported where they are built: importing this module for
+``KINDS`` and ``PARAMS`` loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial, reduce
-
-import numpy as np
 
 from .pattern import _MAX_CELLS, as_pattern
 
@@ -40,7 +43,7 @@ class RuggedSpec:
 
 def _box(x, *sizes):
     """Cells within (size - 1) / 2 of the centre along each leading axis of x."""
-    return reduce(np.logical_and, (np.abs(c) <= (size - 1) / 2 for c, size in zip(x, sizes)))
+    return reduce(operator.and_, (abs(c) <= (size - 1) / 2 for c, size in zip(x, sizes)))
 
 
 def _ball(x, radius):
@@ -54,7 +57,7 @@ def _triangle(x, base, height):
         raise ValueError("triangle height must be at least 2")
     t = x[0] + (height - 1) / 2
     halfwidth = (base - 1) / 2 * t / (height - 1)
-    return (t >= 0) & (t <= height - 1) & (np.abs(x[1]) <= halfwidth)
+    return (t >= 0) & (t <= height - 1) & (abs(x[1]) <= halfwidth)
 
 
 def _hyperboloid(sign, x, radius, slope, height):
@@ -89,6 +92,8 @@ PARAMS = tuple(dict.fromkeys(name for _, names, _ in _SHAPES.values() for name i
 def _centered(grid):
     """Cell-centre coordinates less (N-1)/2: one sparse array per axis, N
     long along it and 1 along the others, which the solids broadcast."""
+    import numpy as np
+
     return [c - (n - 1) / 2 for c, n in zip(np.indices(grid, dtype=float, sparse=True), grid)]
 
 
@@ -145,6 +150,8 @@ def ruggedize(pattern, spec: RuggedSpec) -> np.ndarray:
     """
     if not 0.0 <= spec.probability <= 1.0:
         raise ValueError("probability must be in [0, 1]")
+    import numpy as np
+
     arr = as_pattern(pattern).copy()
     # A cell is interior when it and its 2k face-neighbours are foreground.
     padded = np.pad(arr, 1)

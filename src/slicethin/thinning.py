@@ -7,7 +7,8 @@ pixel with the lowest) for deletability. Deletions are applied immediately,
 so later tests within the same pass see them.
 
 ``thin`` pads the pattern once (``pattern._padded``), and every sub-cycle
-of the run works in place on that one buffer. A sub-cycle runs in C
+of the run works in place on that one ``Padded`` buffer, whose kernel
+arguments are built once per run. A sub-cycle runs in C
 (``slicethin_subcycle`` of the library that ``_native.load`` gives on the
 first sub-cycle) wherever a library loads, and only where none loads in the
 Python kernel below, its readable reference. Both apply the same plane test
@@ -18,10 +19,8 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
-
 from . import _native
-from .pattern import _padded, as_pattern
+from .pattern import _as_given, _padded
 
 
 class ScheduleError(ValueError):
@@ -88,7 +87,7 @@ def _deletable(buf, i, plane, triples, ahead):
 
 def thin_subcycle(padded, axis, directions):
     """One sequential deletion pass along ``axis``, in place on ``padded``,
-    the uint8 buffer of ``pattern._padded``. Returns the number of cells
+    the ``Padded`` of ``pattern._padded``. Returns the number of cells
     deleted.
 
     Slices are visited in lexicographic order of their fixed coordinates,
@@ -98,8 +97,8 @@ def thin_subcycle(padded, axis, directions):
     """
     lib = _native.load()
     if lib is None:
-        return _python_subcycle(padded, axis, directions)
-    return lib.slicethin_subcycle(padded.ctypes.data, padded.ndim, padded.ctypes.shape,
+        return _python_subcycle(padded.array(), axis, directions)
+    return lib.slicethin_subcycle(padded.ptr, padded.ndim, padded.sizes,
                                   axis, "f" in directions, "b" in directions)
 
 
@@ -110,6 +109,8 @@ def _python_subcycle(view, axis, directions):
     is exact because a deletion removes an extreme of the run under test;
     the tests read the live buffer.
     """
+    import numpy as np
+
     buf = memoryview(view).cast("B")
     strides = view.strides  # in cells: a uint8 is one byte
     step = strides[axis]
@@ -152,13 +153,12 @@ def thin(pattern, schedule: str | None = None) -> tuple[np.ndarray, int]:
     deletes nothing). Returns the skeleton and the total number of
     iterations across all phases.
     """
-    arr = as_pattern(pattern)
-    phases = _phases(schedule, arr.ndim)
-    padded = _padded(arr)
+    padded = _padded(pattern)
+    phases = _phases(schedule, padded.ndim)
     iterations = 0
     for phase in phases:
         while True:
             iterations += 1
             if not sum(thin_subcycle(padded, axis, dirs) for axis, dirs in phase):
                 break
-    return padded.view(bool)[(slice(1, -1),) * arr.ndim].copy(), iterations
+    return _as_given(padded, pattern), iterations

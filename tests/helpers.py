@@ -12,7 +12,7 @@ def run_subcycle(arr, axis, dirs):
     """
     padded = _padded(arr)
     deleted = thinning.thin_subcycle(padded, axis, dirs)
-    arr[...] = padded[(slice(1, -1),) * arr.ndim]
+    arr[...] = padded.array()[(slice(1, -1),) * arr.ndim]
     return deleted
 
 

@@ -174,6 +174,18 @@ def test_tables_match_oracle_rule(tables, deletable):
             assert table[code] == deletable(ring, sub), (sub, code)
 
 
+@pytest.mark.parametrize(
+    "tables, rule",
+    [(baselines._ZS_TABLES, baselines._zs_deletable),
+     (baselines._GH_TABLES, baselines._gh_deletable)],
+)
+def test_table_literals_match_rules(tables, rule):
+    # The literals, rebuilt from the rules: a byte per neighbour code, a table
+    # per sub-iteration.
+    rings = [[bool(code >> i & 1) for i in range(8)] for code in range(256)]
+    assert tables == tuple(bytes(rule(first, *ring) for ring in rings) for first in (True, False))
+
+
 RULES = {"zs": (zs_thin, zs_oracle), "gh": (gh_thin, gh_oracle)}
 
 # TestDriverDifferentialNumpy runs these tests again from a subclass, which
@@ -246,6 +258,6 @@ def test_thick_shapes_match_numpy(rule):
     tables = baselines._ZS_TABLES if rule == "zs" else baselines._GH_TABLES
     for pattern in (disc, ring, np.pad(np.ones((60, 70), bool), 3)):
         sk, it = RULES[rule][0](pattern)
-        padded = _padded(pattern)
+        padded = _padded(pattern).array()
         expected_it = baselines._numpy_sweep(padded, tables)
         assert np.array_equal(sk, padded[1:-1, 1:-1]) and it == expected_it

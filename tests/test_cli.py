@@ -279,6 +279,35 @@ def test_usage_error(square7, tmp_path, capsys, argv, message):
     assert not (tmp_path / "o.pbm").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--shape", "disc", "--radius", "٣", "--grid", "9x9"],
+        ["gen", "--shape", "disc", "--radius", "1_0", "--grid", "29x29"],
+        ["gen", "--shape", "disc", "--radius", " 3", "--grid", "9x9"],
+        ["gen", "--shape", "square", "--side", "５", "--grid", "9x9"],
+        ["gen", "--shape", "disc", "--radius", "3", "--grid", "9x9", "--rugged", "٠.٢"],
+        ["gen", "--shape", "disc", "--radius", "3", "--grid", "9x9", "--rugged", "0.2",
+         "--seed", "١_٢"],
+        ["gen", "--shape", "disc", "--radius", "3", "--grid", "9x9", "--rugged", "0.2",
+         "--seed", "1_2"],
+        ["metrics", "--input", "{sq}", "--skeleton", "{sq}", "--iterations", "٣"],
+    ],
+    ids=["radius-arabic", "radius-underscore", "radius-space", "side-fullwidth",
+         "rugged-arabic", "seed-arabic", "seed-underscore", "iterations-arabic"],
+)
+def test_numeric_flags_take_ascii_digits_only(square7, tmp_path, capsys, argv):
+    """int() and float() would take these: the flags exit 2 and write nothing."""
+    out = tmp_path / "o.pbm"
+    argv = [word.format(sq=square7) for word in argv]
+    if argv[0] == "gen":
+        argv += ["--output", str(out)]
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "error: argument --" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- fuzzing
 
 _PIECES = (b"0", b"1", b"10", b" ", b"\n", b"\t", b"#", b"#c\n", b"\xa0", b"x", b"2", b"9")

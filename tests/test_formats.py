@@ -5,19 +5,21 @@ from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
 from oracles import foreground_coords, ndbin_oracle, pbm_oracle
+from slicethin import formats
 from slicethin.cli import main
 from slicethin.formats import (
     FormatError,
     ParseError,
     export_voxels_csv,
     read_ndbin,
+    read_padded,
     read_pattern,
     read_pbm,
     write_ndbin,
     write_pattern,
     write_pbm,
 )
-from slicethin.pattern import DimensionError
+from slicethin.pattern import DimensionError, _padded
 
 
 class TestPbm:
@@ -93,6 +95,11 @@ class TestNdbin:
     def test_write_2x2x2(self):
         data = write_ndbin(np.ones((2, 2, 2), bool))
         assert data == b"NDBIN\n3\n2 2 2\n1 1\n1 1\n1 1\n1 1\n"
+
+    def test_bits_apart_by_more_than_one_blank(self):
+        # Not as the writer spaces them: the fault locator finds no fault.
+        for raw in (b"NDBIN\n2\n1 3\n1  0\t\t1\n", b"NDBIN 2 1 3\n\n1 0 1", b"NDBIN 2 1 3 1 #c\n0 1"):
+            assert read_ndbin(raw).tolist() == [[True, False, True]], raw
 
     def test_count_mismatch_short(self):
         raw = b"NDBIN\n2\n2 2\n1 0 1\n"
@@ -189,8 +196,16 @@ def _outcome(read, data):
         return type(exc), getattr(exc, "offset", None)
 
 
+def _bytes_reader(magic):
+    """The reader of ``magic`` files as the CLI's ``read_padded`` checks them,
+    with bytes alone, but giving an array."""
+    return lambda data: formats._array(*formats._decode(data, (magic,), formats._spaced))
+
+
 def _assert_same_as_tokenizer(data):
-    for read, oracle in ((read_pbm, pbm_oracle), (read_ndbin, ndbin_oracle)):
+    for read, oracle in ((read_pbm, pbm_oracle), (read_ndbin, ndbin_oracle),
+                         (_bytes_reader(b"P1"), pbm_oracle),
+                         (_bytes_reader(b"NDBIN"), ndbin_oracle)):
         got, want = _outcome(read, data), _outcome(oracle, data)
         if isinstance(want, np.ndarray):
             assert isinstance(got, np.ndarray) and got.shape == want.shape
@@ -308,6 +323,24 @@ class TestVoxelsCsv:
         lines = [",".join(map(str, c)) for c in sorted(foreground_coords(arr))]
         want = "x0,x1,x2,x3\n" + "".join(line + "\n" for line in lines)
         assert export_voxels_csv(arr) == want.encode()
+
+
+class TestPadded:
+    """The CLI's reader and writers, which hold a ``Padded`` and no array."""
+
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=4, max_side=6)), hyp.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_as_arrays(self, tmp_path_factory, arr, pbm):
+        path = tmp_path_factory.mktemp("padded") / ("a.pbm" if pbm and arr.ndim == 2 else "a.ndbin")
+        write_pattern(path, arr)
+        padded = read_padded(path)
+        assert padded.shape == _padded(arr).shape and padded.buf == _padded(arr).buf
+        assert write_ndbin(padded) == write_ndbin(arr)
+        if arr.ndim == 2:
+            assert write_pbm(padded) == write_pbm(arr)
+        else:
+            with pytest.raises(FormatError):
+                write_pbm(padded)
 
 
 class TestPathDispatch:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slicethin import _native, metrics
 from slicethin.metrics import (
     CSV_HEADER,
     UndefinedMetricError,
@@ -8,7 +9,7 @@ from slicethin.metrics import (
     measure_mt,
     size_ratio,
 )
-from slicethin.pattern import DimensionError
+from slicethin.pattern import DimensionError, _padded
 
 from oracles import nuw_oracle
 
@@ -163,3 +164,46 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="iterations"):
             evaluate(p, p, -4)
         assert evaluate(p, p, 0).n == 0
+
+
+@pytest.mark.usefixtures("no_kernel")
+class TestMeasureMtNumpy(TestMeasureMt):
+    """The m_t tests under the numpy counts, where the plain run used C."""
+
+
+@pytest.mark.usefixtures("no_kernel")
+class TestSizeRatioNumpy(TestSizeRatio):
+    """The s_r tests under the numpy counts, where the plain run used C."""
+
+
+@pytest.mark.usefixtures("no_kernel")
+class TestEvaluateNumpy(TestEvaluate):
+    """The report tests under the numpy counts, where the plain run used C."""
+
+
+# Random k = 2..4 shapes, the one-line shapes of both orientations, and
+# whether the input is in Fortran order.
+_COUNT_CASES = [((1, 9), False), ((9, 1), True), ((1, 1), False)] + [
+    (tuple(np.random.default_rng(seed).integers(1, 8, size=2 + seed % 3)), seed % 2 == 1)
+    for seed in range(30)
+]
+
+
+@pytest.mark.parametrize("shape, fortran", _COUNT_CASES)
+def test_counts_match_numpy_twin(shape, fortran):
+    """slicethin_counts against _numpy_counts, on a skeleton that keeps part
+    of the input and adds a few cells outside it."""
+    if _native.load() is None:
+        pytest.skip("no C kernel loads here")
+    rng = np.random.default_rng(len(shape) * 100 + sum(shape))
+    inp = rng.random(shape) < rng.random()
+    sk = (inp & (rng.random(shape) < 0.8)) | (rng.random(shape) < 0.1)
+    if fortran:
+        inp, sk = np.asfortranarray(inp), np.asfortranarray(sk)
+    a, b = _padded(inp), _padded(sk)
+    counts = metrics._counts(a, b)
+    assert counts == metrics._numpy_counts(a.array(), b.array())
+    assert counts[:3] == (inp.sum(), sk.sum(), (sk & ~inp).sum())
+    if sk.ndim == 2:
+        fg = {tuple(map(int, c)) for c in np.argwhere(sk)}
+        assert counts[3] == len(nuw_oracle(fg, sk.shape))

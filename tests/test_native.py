@@ -220,29 +220,32 @@ def test_loaded_kernels_take_every_input(monkeypatch):
 
 
 def test_import_loads_no_kernel():
-    # Import must not load scipy, nor what only a kernel load needs
+    # Import must not load numpy or scipy, nor what only a kernel load needs
     # (subprocess, hashlib), nor the library itself, which would slow every
-    # CLI start. ctypes is not checked: a bare `import numpy` already loads it.
+    # CLI start: numpy is imported where an array is built or taken.
     for module in ("slicethin", "slicethin.baselines", "slicethin.pattern", "slicethin.cli"):
         loaded, *added = run_python(
-            f"import sys, numpy; before = set(sys.modules); import {module}; "
+            f"import sys; before = set(sys.modules); import {module}; "
             "added = sorted(set(sys.modules) - before); from slicethin import _native; "
             "print(_native.load.cache_info().currsize, *added)"
         )
         assert loaded == "0", module
-        for heavy in ("scipy", "subprocess", "hashlib"):
+        for heavy in ("numpy", "scipy", "subprocess", "hashlib"):
             assert heavy not in added, (module, heavy)
 
 
 # Runs every CLI command on a disc and an annulus in the working directory,
-# with scipy blocked when argv[1] is "block"; prints exit codes, stdout and
-# the files written.
+# with scipy blocked when argv[1] is "block", and numpy too for every thin,
+# compare and metrics call where the C kernels load (their twins import it);
+# prints exit codes, stdout and the files written.
 CLI_RUN = """
 import contextlib, io, json, sys
 from pathlib import Path
-if sys.argv[1] == "block":
+block = sys.argv[1] == "block"
+if block:
     sys.modules["scipy"] = None  # every import of scipy now fails
 import numpy as np
+from slicethin import _native
 from slicethin.cli import main
 from slicethin.formats import write_pattern
 yy, xx = np.mgrid[:30, :30]
@@ -259,8 +262,11 @@ argvs += [["compare", "--input", "disc.pbm", "annulus.pbm", "--algos", "zs,gh,nd
 runs = []
 for argv in argvs:
     out = io.StringIO()
+    if block and argv[0] != "gen" and _native.load() is not None:
+        sys.modules["numpy"] = None  # every import of numpy now fails
     with contextlib.redirect_stdout(out):
         code = main(argv)
+    sys.modules["numpy"] = np
     runs.append([argv, code, out.getvalue()])
 files = {p.name: p.read_text() for p in sorted(Path().iterdir())}
 print(json.dumps({"runs": runs, "files": files,

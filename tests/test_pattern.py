@@ -11,7 +11,7 @@ from slicethin import _native
 from slicethin.baselines import gh_thin, zs_thin
 from slicethin.formats import export_voxels_csv, write_ndbin, write_pbm
 from slicethin.metrics import evaluate, measure_mt, size_ratio
-from slicethin.pattern import DimensionError, as_pattern, component_count
+from slicethin.pattern import DimensionError, _pad, _padded, _unpad, as_pattern, component_count
 from slicethin.shapes import RuggedSpec, ruggedize
 from slicethin.thinning import thin
 
@@ -205,6 +205,46 @@ class TestConnectedComponents:
 @pytest.mark.usefixtures("no_kernel")
 class TestConnectedComponentsNumpy(TestConnectedComponents):
     """The component tests under the numpy counter, where the plain run used C."""
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of the error it raised."""
+    try:
+        return f(*args, 1)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestBytesPadding:
+    """The CLI's ``Padded``, padded by bytes operations, against the one that
+    a library call pads from an array with numpy."""
+
+    @given(random_patterns())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy(self, arr):
+        bits = bytearray(arr.astype(np.uint8).tobytes())
+        padded = _pad(bits, arr.shape)
+        expected = _padded(arr)
+        assert padded.shape == expected.shape and padded.buf == expected.buf
+        assert _unpad(padded) == bits
+        assert np.array_equal(np.asarray(padded), arr)  # numpy sees the pattern
+        # A Padded in gives a Padded out, equal to the array's result.
+        assert component_count(padded) == component_count(arr)
+        for run in (thin, zs_thin, gh_thin)[: 1 if arr.ndim > 2 else 3]:
+            (skeleton, iterations), (want, want_iterations) = run(padded), run(arr)
+            assert np.array_equal(skeleton.unpadded(), want) and iterations == want_iterations
+            assert _outcome(evaluate, padded, skeleton) == _outcome(evaluate, arr, want)
+        assert padded.buf == expected.buf  # the input is left untouched
+
+    @pytest.mark.parametrize("shape", [(10**5, 1), (1, 10**5), (3, 10**4, 1), (1, 7, 1, 10**4)])
+    def test_long_and_short_lines(self, shape):
+        # Many short lines take one strided copy per byte of a line, few long
+        # ones one copy per line.
+        arr = random_pattern(shape, 0.5, 1)
+        bits = bytearray(arr.astype(np.uint8).tobytes())
+        padded = _pad(bits, shape)
+        assert padded.buf == _padded(arr).buf
+        assert _unpad(padded) == bits
 
 
 # Every public function that takes a pattern, called on one.
