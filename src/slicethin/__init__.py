@@ -13,10 +13,8 @@ _EXPORTS = {
     "export_voxels_csv": "formats",
     "generate": "shapes",
     "gh_thin": "baselines",
-    "measure_mt": "metrics",
     "read_pattern": "formats",
     "ruggedize": "shapes",
-    "size_ratio": "metrics",
     "thin": "thinning",
     "write_pattern": "formats",
     "zs_thin": "baselines",

@@ -35,42 +35,6 @@ from .pattern import DimensionError, _as_given, _padded, _scratch
 # (row, column) offsets of P2..P9.
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
-
-def _zs_deletable(first, p2, p3, p4, p5, p6, p7, p8, p9):
-    """Zhang-Suen: 2 <= BP <= 6 and AP = 1, plus P2*P4*P6 = 0 and
-    P4*P6*P8 = 0 on the first sub-iteration (southeast boundary), or
-    P2*P4*P8 = 0 and P2*P6*P8 = 0 on the second (northwest boundary).
-    """
-    seq = (p2, p3, p4, p5, p6, p7, p8, p9, p2)
-    bp = sum(seq[:-1])
-    ap = sum(not a and b for a, b in zip(seq, seq[1:]))
-    if first:
-        corner = (p2 and p4 and p6) or (p4 and p6 and p8)
-    else:
-        corner = (p2 and p4 and p8) or (p2 and p6 and p8)
-    return 2 <= bp <= 6 and ap == 1 and not corner
-
-
-def _gh_deletable(first, p2, p3, p4, p5, p6, p7, p8, p9):
-    """Guo-Hall: connectivity number CP = 1, NP = min(NP1, NP2) in {2, 3},
-    and a zero directional term: (P2|P3|~P5) & P4 on the first (odd)
-    sub-iteration, (P6|P7|~P9) & P8 on the second.
-    """
-    cp = (
-        (not p2 and (p3 or p4))
-        + (not p4 and (p5 or p6))
-        + (not p6 and (p7 or p8))
-        + (not p8 and (p9 or p2))
-    )
-    np1 = (p9 or p2) + (p3 or p4) + (p5 or p6) + (p7 or p8)
-    np2 = (p2 or p3) + (p4 or p5) + (p6 or p7) + (p8 or p9)
-    if first:
-        directional = (p2 or p3 or not p5) and p4
-    else:
-        directional = (p6 or p7 or not p9) and p8
-    return cp == 1 and min(np1, np2) in (2, 3) and not directional
-
-
 # Per rule, a 256-byte table per sub-iteration: byte c is whether the rule
 # deletes a pixel of neighbor code c.
 _ZS_TABLES = (
@@ -151,10 +115,26 @@ def _numpy_sweep(padded, tables):
 
 
 def zs_thin(pattern) -> tuple[np.ndarray, int]:
-    """Zhang-Suen thinning (rule: _zs_deletable); returns (skeleton, iterations)."""
+    """Zhang-Suen thinning; returns (skeleton, iterations).
+
+    A pixel is deleted when it has 2 to 6 foreground neighbours (BP = 2..6),
+    exactly one background-to-foreground step in the sequence P2, P3, ...,
+    P9, P2 (AP = 1), and, on the first sub-iteration (the southeast
+    boundary), P2*P4*P6 = 0 and P4*P6*P8 = 0; on the second (the northwest
+    boundary), P2*P4*P8 = 0 and P2*P6*P8 = 0.
+    """
     return _thin(pattern, _ZS_TABLES)
 
 
 def gh_thin(pattern) -> tuple[np.ndarray, int]:
-    """Guo-Hall thinning (rule: _gh_deletable); returns (skeleton, iterations)."""
+    """Guo-Hall thinning; returns (skeleton, iterations).
+
+    A pixel is deleted when exactly one of P2, P4, P6, P8 is background and
+    has a foreground pixel in the pair after it: P3 or P4, P5 or P6, P7 or
+    P8, P9 or P2 (connectivity number CP = 1); when NP = min(NP1, NP2) is 2
+    or 3, where NP1 counts the pairs (P9, P2), (P3, P4), (P5, P6), (P7, P8)
+    that hold a foreground pixel and NP2 the pairs (P2, P3), (P4, P5),
+    (P6, P7), (P8, P9); and when (P2 | P3 | ~P5) & P4 is 0 on the first
+    (odd) sub-iteration, (P6 | P7 | ~P9) & P8 on the second.
+    """
     return _thin(pattern, _GH_TABLES)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import astuple
 
 from . import baselines, metrics, shapes, thinning
 from .formats import FormatError, ParseError, write_pattern
@@ -72,7 +71,7 @@ def cmd_compare(args) -> int:
     if len(args.input) > 1:
         for algo in algos:
             # Column means over the rows that have a value: m_t is None in 3D.
-            columns = zip(*map(astuple, reports[algo]))
+            columns = zip(*reports[algo])
             print(metrics.MetricsReport(*map(_mean, columns)).csv_row(f"{algo}-avg"))
     return 0
 

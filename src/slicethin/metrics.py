@@ -13,35 +13,36 @@ loads, ``_numpy_counts`` only where none loads.
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass, fields
+from collections import namedtuple
 
 from . import _native
-from .pattern import DimensionError, _padded, component_count
+from .pattern import _padded, component_count
 
 
 class UndefinedMetricError(ValueError):
     """Metric is undefined for the given input (e.g. empty pattern)."""
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    s_r: float
-    m_t: float | None
-    n: int
-    component_delta: int
-    area_input: int
-    area_skeleton: int
+class MetricsReport(
+    namedtuple("MetricsReport", "s_r m_t n component_delta area_input area_skeleton")
+):
+    """One thinning result's metrics: ``s_r`` and ``m_t`` (floats, ``m_t``
+    None above 2D), the iteration count ``n``, ``component_delta`` (the
+    skeleton's component count less the input's), ``area_input`` and
+    ``area_skeleton``."""
+
+    __slots__ = ()
 
     def csv_row(self, algorithm: str) -> str:
         """One CSV row: floats to 9 significant digits, ints as is, None as NA."""
         cells = (
             "NA" if v is None else f"{v:.9g}" if isinstance(v, float) else str(v)
-            for v in astuple(self)
+            for v in self
         )
         return ",".join((algorithm, *cells))
 
 
-CSV_HEADER = ",".join(("algorithm", *(f.name for f in fields(MetricsReport))))
+CSV_HEADER = ",".join(("algorithm", *MetricsReport._fields))
 
 
 def _counts(inp, sk):
@@ -83,42 +84,24 @@ def _ratio(area_input, area_skeleton):
     return area_skeleton / area_input
 
 
-def _same_shape(inp, sk):
-    if inp.shape != sk.shape:
-        raise ValueError(f"shape mismatch: {inp.pattern_shape} vs {sk.pattern_shape}")
-
-
-def measure_mt(skeleton) -> float:
-    """Convergence to unit width: 1 - (2x2-covered pixels / foreground)."""
-    sk = _padded(skeleton)
-    if sk.ndim != 2:
-        raise DimensionError("measure_mt is defined for 2D skeletons only")
-    _, area, _, covered = _counts(sk, sk)
-    return _unit_width(area, covered)
-
-
-def size_ratio(input_pattern, skeleton) -> float:
-    """Skeleton foreground count over input foreground count."""
-    inp, sk = _padded(input_pattern), _padded(skeleton)
-    _same_shape(inp, sk)
-    area_input, area_skeleton, _, _ = _counts(inp, sk)
-    return _ratio(area_input, area_skeleton)
-
-
 def evaluate(input_pattern, skeleton, iterations: int) -> MetricsReport:
     """Assemble the full report for one thinning result.
 
-    Warns when the skeleton is not a subset of the input foreground.
-    ``m_t`` is only computed for 2D patterns. A negative ``iterations``
-    raises ``ValueError``.
+    ``s_r`` is the skeleton's foreground count over the input's. ``m_t``,
+    the convergence to unit width, is 1 - (skeleton cells covered by an
+    all-foreground 2x2 window / skeleton foreground); it is computed for 2D
+    patterns only. Raises ``UndefinedMetricError`` for an empty input or an
+    empty 2D skeleton, the latter even when the shapes differ, and
+    ``ValueError`` for a shape mismatch or a negative ``iterations``. Warns
+    when the skeleton is not a subset of the input foreground.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     inp, sk = _padded(input_pattern), _padded(skeleton)
     if inp.shape != sk.shape:
         if sk.ndim == 2:
-            measure_mt(sk)  # an empty 2D skeleton is reported before the mismatch
-        _same_shape(inp, sk)
+            _unit_width(*_counts(sk, sk)[1::2])  # the skeleton's area and covered cells
+        raise ValueError(f"shape mismatch: {inp.pattern_shape} vs {sk.pattern_shape}")
     area_input, area_skeleton, outside, covered = _counts(inp, sk)
     if outside:
         warnings.warn("skeleton is not a subset of the input foreground", stacklevel=2)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial, reduce
 
 from .pattern import _MAX_CELLS, as_pattern
@@ -28,17 +28,13 @@ class MarginError(ValueError):
     """Generated solid would touch the grid boundary."""
 
 
-@dataclass(frozen=True)
-class ShapeSpec:
-    kind: str
-    grid: tuple[int, ...]
-    params: dict = field(default_factory=dict)
+# A solid to generate: a kind of KINDS, the grid's size per axis and the
+# kind's parameters by name.
+ShapeSpec = namedtuple("ShapeSpec", "kind grid params")
 
-
-@dataclass(frozen=True)
-class RuggedSpec:
-    probability: float
-    seed: int
+# Boundary noise: the deletion probability of each boundary cell and the
+# random generator's seed.
+RuggedSpec = namedtuple("RuggedSpec", "probability seed")
 
 
 def _box(x, *sizes):

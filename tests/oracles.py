@@ -175,6 +175,43 @@ def gh_deletable_oracle(ring, sub):
     return bool(cp == 1 and npv in (2, 3) and not directional)
 
 
+# The same two rules, stated apart from the oracles above with a parameter
+# per neighbour: the tests rebuild the baselines' table literals from these.
+def _zs_deletable(first, p2, p3, p4, p5, p6, p7, p8, p9):
+    """Zhang-Suen: 2 <= BP <= 6 and AP = 1, plus P2*P4*P6 = 0 and
+    P4*P6*P8 = 0 on the first sub-iteration (southeast boundary), or
+    P2*P4*P8 = 0 and P2*P6*P8 = 0 on the second (northwest boundary).
+    """
+    seq = (p2, p3, p4, p5, p6, p7, p8, p9, p2)
+    bp = sum(seq[:-1])
+    ap = sum(not a and b for a, b in zip(seq, seq[1:]))
+    if first:
+        corner = (p2 and p4 and p6) or (p4 and p6 and p8)
+    else:
+        corner = (p2 and p4 and p8) or (p2 and p6 and p8)
+    return 2 <= bp <= 6 and ap == 1 and not corner
+
+
+def _gh_deletable(first, p2, p3, p4, p5, p6, p7, p8, p9):
+    """Guo-Hall: connectivity number CP = 1, NP = min(NP1, NP2) in {2, 3},
+    and a zero directional term: (P2|P3|~P5) & P4 on the first (odd)
+    sub-iteration, (P6|P7|~P9) & P8 on the second.
+    """
+    cp = (
+        (not p2 and (p3 or p4))
+        + (not p4 and (p5 or p6))
+        + (not p6 and (p7 or p8))
+        + (not p8 and (p9 or p2))
+    )
+    np1 = (p9 or p2) + (p3 or p4) + (p5 or p6) + (p7 or p8)
+    np2 = (p2 or p3) + (p4 or p5) + (p6 or p7) + (p8 or p9)
+    if first:
+        directional = (p2 or p3 or not p5) and p4
+    else:
+        directional = (p6 or p7 or not p9) and p8
+    return cp == 1 and min(np1, np2) in (2, 3) and not directional
+
+
 def _mark_sweep_oracle(fg, deletable):
     fg = set(fg)
     iterations = 0

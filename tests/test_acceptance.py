@@ -9,7 +9,7 @@ import pytest
 
 from slicethin.baselines import gh_thin, zs_thin
 from slicethin.formats import read_ndbin, read_pbm, write_ndbin, write_pbm
-from slicethin.metrics import measure_mt, size_ratio
+from slicethin.metrics import evaluate
 from slicethin.pattern import component_count
 from slicethin.shapes import ShapeSpec, generate
 from slicethin.thinning import thin
@@ -130,13 +130,13 @@ def test_c6_metric_correctness():
     unit_width = [hline(n) for n in range(3, 21)]
     unit_width += [hline(n).T for n in range(3, 21)]
     unit_width += [diag(n) for n in range(3, 21)]
-    ok = all(measure_mt(s) == 1.0 for s in unit_width)
+    ok = all(evaluate(s, s, 0).m_t == 1.0 for s in unit_width)
     for h, w in [(2, 2), (2, 5), (3, 3), (4, 7)]:
         solid = np.zeros((h + 2, w + 2), bool)
         solid[1 : 1 + h, 1 : 1 + w] = True
-        ok = ok and measure_mt(solid) == 0.0
+        ok = ok and evaluate(solid, solid, 0).m_t == 0.0
     sample = unit_width[0]
-    ok = ok and size_ratio(sample, sample) == 1.0
+    ok = ok and evaluate(sample, sample, 0).s_r == 1.0
     check("criterion 6: m_t and s_r exact values", ok)
 
 
@@ -149,9 +149,9 @@ def test_c7_comparative_ordering_on_shapes():
     ok = True
     detail = ""
     for name, p in corpus.items():
-        mt_zs = measure_mt(zs_thin(p)[0])
-        mt_gh = measure_mt(gh_thin(p)[0])
-        mt_nd = measure_mt(thin(p)[0])
+        mt_zs = evaluate(p, *zs_thin(p)).m_t
+        mt_gh = evaluate(p, *gh_thin(p)).m_t
+        mt_nd = evaluate(p, *thin(p)).m_t
         if not (mt_nd >= mt_zs and mt_gh >= mt_zs):
             ok = False
             detail = f"{name}: zs={mt_zs} gh={mt_gh} nd={mt_nd}"

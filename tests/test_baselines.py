@@ -9,6 +9,8 @@ from slicethin.baselines import gh_thin, zs_thin
 from slicethin.pattern import DimensionError, _padded
 
 from oracles import (
+    _gh_deletable,
+    _zs_deletable,
     foreground_coords,
     gh_deletable_oracle,
     gh_oracle,
@@ -176,8 +178,7 @@ def test_tables_match_oracle_rule(tables, deletable):
 
 @pytest.mark.parametrize(
     "tables, rule",
-    [(baselines._ZS_TABLES, baselines._zs_deletable),
-     (baselines._GH_TABLES, baselines._gh_deletable)],
+    [(baselines._ZS_TABLES, _zs_deletable), (baselines._GH_TABLES, _gh_deletable)],
 )
 def test_table_literals_match_rules(tables, rule):
     # The literals, rebuilt from the rules: a byte per neighbour code, a table

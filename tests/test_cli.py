@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from slicethin.cli import _UsageError, build_parser, main
 from slicethin.formats import read_pattern, write_ndbin, write_pbm, write_pattern
-from slicethin.metrics import CSV_HEADER
+from slicethin.metrics import CSV_HEADER, UndefinedMetricError, evaluate
 from slicethin.shapes import ShapeSpec, generate
 
 from helpers import SHAPE_DIGESTS
@@ -162,6 +162,16 @@ class TestMetricsCommand:
         assert lines[0] == CSV_HEADER
         assert lines[1].startswith("nd,")
         assert lines[1].split(",")[3] == "8"
+
+    def test_empty_skeleton_of_another_shape(self, square7, tmp_path, capsys):
+        # The empty 2D skeleton is reported before the shape mismatch.
+        sk = tmp_path / "empty.pbm"
+        write_pattern(sk, np.zeros((7, 8), bool))
+        message = "measure_mt is undefined for an empty skeleton"
+        with pytest.raises(UndefinedMetricError, match=message):
+            evaluate(read_pattern(square7), read_pattern(sk), 0)
+        assert main(["metrics", "--input", str(square7), "--skeleton", str(sk)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestGenCommand:

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from slicethin import _native, metrics
-from slicethin.metrics import (
-    CSV_HEADER,
-    UndefinedMetricError,
-    evaluate,
-    measure_mt,
-    size_ratio,
-)
-from slicethin.pattern import DimensionError, _padded
+from slicethin.metrics import CSV_HEADER, UndefinedMetricError, evaluate
+from slicethin.pattern import _padded
 
 from oracles import nuw_oracle
 
@@ -19,23 +13,31 @@ def random_pattern(shape, density, seed):
     return rng.random(shape) < density
 
 
+def m_t(skeleton):
+    return evaluate(skeleton, skeleton, 0).m_t
+
+
+def s_r(input_pattern, skeleton):
+    return evaluate(input_pattern, skeleton, 0).s_r
+
+
 class TestMeasureMt:
     def test_thin_line_is_one(self):
         arr = np.zeros((3, 11), bool)
         arr[1, 1:10] = True
-        assert measure_mt(arr) == 1.0
+        assert m_t(arr) == 1.0
 
     def test_2x2_block_is_zero(self):
         arr = np.zeros((4, 4), bool)
         arr[1:3, 1:3] = True
-        assert measure_mt(arr) == 0.0
+        assert m_t(arr) == 0.0
 
     def test_2x2_block_covered(self):
         # The four block pixels are covered; the 4-pixel tail is not.
         arr = np.zeros((4, 8), bool)
         arr[1:3, 1:3] = True
         arr[1, 3:7] = True
-        assert measure_mt(arr) == 1 - 4 / 8
+        assert m_t(arr) == 1 - 4 / 8
 
     def test_3x3_block_all_covered(self):
         # The four 2x2 windows cover all 9 block pixels, each counted once;
@@ -43,73 +45,71 @@ class TestMeasureMt:
         arr = np.zeros((5, 8), bool)
         arr[1:4, 1:4] = True
         arr[2, 4:7] = True
-        assert measure_mt(arr) == 1 - 9 / 12
+        assert m_t(arr) == 1 - 9 / 12
 
     def test_ring_is_one(self):
         # 3x3 block minus its center has no all-foreground 2x2 window.
         arr = np.zeros((5, 5), bool)
         arr[1:4, 1:4] = True
         arr[2, 2] = False
-        assert measure_mt(arr) == 1.0
+        assert m_t(arr) == 1.0
 
     def test_empty_skeleton_raises(self):
         with pytest.raises(UndefinedMetricError):
-            measure_mt(np.zeros((3, 3), bool))
-
-    def test_3d_raises(self):
-        with pytest.raises(DimensionError):
-            measure_mt(np.ones((3, 3, 3), bool))
+            m_t(np.zeros((3, 3), bool))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_window_scan_oracle(self, seed):
         p = random_pattern((9, 9), 0.6, seed)
         fg = {tuple(map(int, c)) for c in np.argwhere(p)}
-        assert measure_mt(p) == 1 - len(nuw_oracle(fg, p.shape)) / len(fg)
+        assert m_t(p) == 1 - len(nuw_oracle(fg, p.shape)) / len(fg)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_invariant_under_symmetries(self, seed):
         p = random_pattern((8, 12), 0.6, seed)
         if not p.any():
             p[1, 1] = True
-        base = measure_mt(p)
-        assert measure_mt(p.T) == pytest.approx(base)
-        assert measure_mt(np.flip(p, 0)) == pytest.approx(base)
-        assert measure_mt(np.flip(p, 1)) == pytest.approx(base)
-        assert measure_mt(np.rot90(p)) == pytest.approx(base)
+        base = m_t(p)
+        assert m_t(p.T) == pytest.approx(base)
+        assert m_t(np.flip(p, 0)) == pytest.approx(base)
+        assert m_t(np.flip(p, 1)) == pytest.approx(base)
+        assert m_t(np.rot90(p)) == pytest.approx(base)
 
 
 class TestSizeRatio:
     def test_identity(self):
         p = random_pattern((6, 6), 0.5, 0)
         p[0, 0] = True
-        assert size_ratio(p, p) == 1.0
+        assert s_r(p, p) == 1.0
 
     def test_quarter(self):
         inp = np.zeros((8, 8), bool)
         inp.flat[:40] = True
         sk = np.zeros((8, 8), bool)
         sk.flat[:10] = True
-        assert size_ratio(inp, sk) == 0.25
+        assert s_r(inp, sk) == 0.25
 
     def test_empty_skeleton(self):
-        inp = np.ones((3, 3), bool)
-        assert size_ratio(inp, np.zeros((3, 3), bool)) == 0.0
+        # In 3D, where m_t is NA: evaluate raises for an empty 2D skeleton.
+        inp = np.ones((3, 3, 3), bool)
+        assert s_r(inp, np.zeros((3, 3, 3), bool)) == 0.0
 
     def test_empty_input_raises(self):
-        with pytest.raises(UndefinedMetricError):
-            size_ratio(np.zeros((3, 3), bool), np.zeros((3, 3), bool))
+        empty = np.zeros((3, 3, 3), bool)
+        with pytest.raises(UndefinedMetricError, match="empty input"):
+            s_r(empty, empty)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            size_ratio(np.ones((3, 3), bool), np.ones((3, 4), bool))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            s_r(np.ones((3, 3), bool), np.ones((3, 4), bool))
 
     def test_monotone_under_pixel_removal(self):
         inp = np.ones((5, 5), bool)
         sk = inp.copy()
-        previous = size_ratio(inp, sk)
+        previous = s_r(inp, sk)
         for c in [(0, 0), (1, 1), (2, 3)]:
             sk[c] = False
-            current = size_ratio(inp, sk)
+            current = s_r(inp, sk)
             assert current <= previous
             previous = current
 

@@ -221,8 +221,9 @@ def test_loaded_kernels_take_every_input(monkeypatch):
 
 def test_import_loads_no_kernel():
     # Import must not load numpy or scipy, nor what only a kernel load needs
-    # (subprocess, hashlib), nor the library itself, which would slow every
-    # CLI start: numpy is imported where an array is built or taken.
+    # (subprocess, hashlib), nor dataclasses and the inspect it imports, nor
+    # the library itself, which would slow every CLI start: numpy is
+    # imported where an array is built or taken.
     for module in ("slicethin", "slicethin.baselines", "slicethin.pattern", "slicethin.cli"):
         loaded, *added = run_python(
             f"import sys; before = set(sys.modules); import {module}; "
@@ -230,7 +231,7 @@ def test_import_loads_no_kernel():
             "print(_native.load.cache_info().currsize, *added)"
         )
         assert loaded == "0", module
-        for heavy in ("numpy", "scipy", "subprocess", "hashlib"):
+        for heavy in ("numpy", "scipy", "subprocess", "hashlib", "dataclasses", "inspect"):
             assert heavy not in added, (module, heavy)
 
 

@@ -10,7 +10,7 @@ from scipy import ndimage
 from slicethin import _native
 from slicethin.baselines import gh_thin, zs_thin
 from slicethin.formats import export_voxels_csv, write_ndbin, write_pbm
-from slicethin.metrics import evaluate, measure_mt, size_ratio
+from slicethin.metrics import evaluate
 from slicethin.pattern import DimensionError, _pad, _padded, _unpad, as_pattern, component_count
 from slicethin.shapes import RuggedSpec, ruggedize
 from slicethin.thinning import thin
@@ -247,7 +247,8 @@ class TestBytesPadding:
         assert _unpad(padded) == bits
 
 
-# Every public function that takes a pattern, called on one.
+# Every public function that takes a pattern, called on one; m_t and s_r
+# are taken through evaluate, as the CLI takes them.
 _TAKES_PATTERN = {
     "as_pattern": as_pattern,
     "thin": thin,
@@ -255,8 +256,8 @@ _TAKES_PATTERN = {
     "gh_thin": gh_thin,
     "component_count": component_count,
     "evaluate": lambda p: evaluate(p, p, 1),
-    "measure_mt": measure_mt,
-    "size_ratio": lambda p: size_ratio(p, p),
+    "measure_mt": lambda p: evaluate(p, p, 0).m_t,
+    "size_ratio": lambda p: evaluate(p, p, 0).s_r,
     "ruggedize": lambda p: ruggedize(p, RuggedSpec(0.5, 0)),
     "write_pbm": write_pbm,
     "write_ndbin": write_ndbin,
