@@ -2,12 +2,16 @@
  * zero-padded C-order buffer of pattern._padded, one byte of 0 or 1 a cell,
  * and has a Python or numpy twin that runs only where no library loads.
  *
- * slicethin_subcycle: one nd deletion sub-cycle, the scan and the plane test
- * of the Python kernel (thinning._python_subcycle). The strides and the
- * plane offsets are built here, once per call, from the padded shape. For
- * k <= 4 the plane test holds each plane as one 64-bit mask and dilates it
- * by shifts, with the line masks lo/hi built beside the offsets; for
- * k = 5..8 it works on byte planes (see deletable).
+ * slicethin_thin: a whole nd run, every phase of the schedule to
+ * convergence, with the scan and the plane test of the Python kernel
+ * (thinning.thin_subcycle) in each sub-cycle. It keeps the runs along each
+ * scheduled axis in lists that live for the call, so a sub-cycle tests the
+ * listed runs and scans again, within those runs, only the lines in which a
+ * sub-cycle along another axis has deleted a cell since. The strides and the plane offsets
+ * are built once per sub-cycle from the padded shape. For k <= 4 the plane
+ * test holds each plane as one 64-bit mask and dilates it by shifts, with
+ * the line masks lo/hi built beside the offsets; for k = 5..8 it works on
+ * byte planes (see deletable).
  *
  * slicethin_sweep: a whole Zhang-Suen or Guo-Hall run, the mark-then-sweep
  * loop of the numpy driver (baselines._numpy_sweep), coding only the pixels
@@ -22,6 +26,7 @@
  */
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define MAX_DIMS 8     /* pattern._MAX_DIMS; as_pattern rejects larger k */
@@ -87,67 +92,151 @@ static int deletable(const unsigned char *buf, ptrdiff_t i, const ptrdiff_t *pla
     return 1;
 }
 
-/* shape is the padded shape. Lines go in lexicographic order of their
- * fixed coordinates, runs in index order; returns the number of cells deleted. */
-ptrdiff_t slicethin_subcycle(unsigned char *buf, int ndim, const ptrdiff_t *shape, int axis,
-                             int do_f, int do_b)
+/* A growable list of (back, front) pairs. */
+struct list {
+    ptrdiff_t *pairs;
+    ptrdiff_t cap; /* entries, two a run */
+};
+
+/* The runs of one scheduled axis, kept from one of its sub-cycles to the
+ * next. A line's id is its rank in the sub-cycle's line order. */
+struct runs {
+    struct list list;       /* (back, front) of every run of 2 or more cells, lines in order */
+    ptrdiff_t *count;       /* runs listed per line */
+    unsigned char *dirty;   /* per line: bit 2 until it is scanned, bit 1 once a cell is deleted */
+    ptrdiff_t id[MAX_DIMS]; /* a line's id is sum (coord[d] - 1) * id[d]; id[axis] = 0 */
+};
+
+/* Room for need entries in l; 0, or -1 where realloc fails. */
+static int reserve(struct list *l, ptrdiff_t need)
 {
-    ptrdiff_t strides[MAX_DIMS], coord[MAX_DIMS], plane[MAX_PLANE], size = 1, n = 1, deleted = 0;
-    uint64_t lo[MAX_DIMS] = {0}, hi[MAX_DIMS] = {0}; /* set only where n <= 64 */
-    int d, c;
-    if (ndim > MAX_DIMS) /* the arrays above are sized for MAX_DIMS */
+    if (need <= l->cap)
         return 0;
-    for (d = ndim - 1; d >= 0; d--) {
-        if (shape[d] < 3) /* no interior cells */
-            return 0;
-        strides[d] = size;
-        size *= shape[d];
+    ptrdiff_t cap = need > 2 * l->cap ? need : 2 * l->cap;
+    ptrdiff_t *pairs = realloc(l->pairs, (size_t)cap * sizeof *pairs);
+    if (!pairs)
+        return -1;
+    l->pairs = pairs;
+    l->cap = cap;
+    return 0;
+}
+
+/* Sets the dirty byte of the line through the cell at coord on every axis
+ * of axes but axis. */
+static void mark(struct runs *runs, const int *axes, int naxes, int axis, int ndim,
+                 const ptrdiff_t *coord)
+{
+    for (int j = 0; j < naxes; j++)
+        if (axes[j] != axis) {
+            ptrdiff_t line = 0;
+            for (int d = 0; d < ndim; d++)
+                line += (coord[d] - 1) * runs[axes[j]].id[d];
+            runs[axes[j]].dirty[line] |= 1;
+        }
+}
+
+/* One sub-cycle along axis, the deletions of the Python kernel
+ * (thinning.thin_subcycle). runs[axis] gives the runs of each clean line and
+ * its dirty lines are scanned again; the tested runs go to spare, which
+ * then becomes runs[axis]'s list. A deletion moves its run's extreme in
+ * place and sets the dirty byte of its line along every other axis of axes.
+ * Returns the number of cells deleted, or -1 where spare cannot grow. */
+static ptrdiff_t subcycle(unsigned char *buf, int ndim, const ptrdiff_t *shape,
+                          const ptrdiff_t *strides, struct runs *runs, const int *axes, int naxes,
+                          int axis, int dirs, struct list *spare)
+{
+    ptrdiff_t coord[MAX_DIMS], plane[MAX_PLANE], n = 1, deleted = 0;
+    ptrdiff_t line = 0, r = 0, w = 0;
+    uint64_t lo[MAX_DIMS] = {0}, hi[MAX_DIMS] = {0}; /* set only where n <= 64 */
+    struct runs *own = &runs[axis];
+    struct list t;
+    int d, c;
+    for (d = 0; d < ndim; d++) {
         coord[d] = 1;
         n *= d == axis ? 1 : 3;
     }
-    for (ptrdiff_t j = 0; j < n; j++) { /* base-3 digits of j, less 1, last plane axis lowest */
-        ptrdiff_t r = j;
-        plane[j] = 0;
+    for (ptrdiff_t q = 0; q < n; q++) { /* base-3 digits of q, less 1, last plane axis lowest */
+        ptrdiff_t rest = q;
+        plane[q] = 0;
         for (d = ndim - 1, c = 0; d >= 0; d--)
             if (d != axis) {
-                plane[j] += (r % 3 - 1) * strides[d];
+                plane[q] += (rest % 3 - 1) * strides[d];
                 if (n <= 64) {
-                    lo[c] |= (uint64_t)(r % 3 != 2) << j;
-                    hi[c] |= (uint64_t)(r % 3 != 0) << j;
+                    lo[c] |= (uint64_t)(rest % 3 != 2) << q;
+                    hi[c] |= (uint64_t)(rest % 3 != 0) << q;
                 }
-                r /= 3;
+                rest /= 3;
                 c++;
             }
     }
     ptrdiff_t step = strides[axis], len = shape[axis] - 2;
     for (;;) {
-        ptrdiff_t i = step, end;
-        for (d = 0; d < ndim; d++)
-            if (d != axis)
-                i += coord[d] * strides[d];
-        end = i + len * step;
-        while (i < end) {
-            if (!buf[i]) {
-                i += step;
-                continue;
+        ptrdiff_t listed = own->count[line];
+        if (listed || own->dirty[line]) {
+            ptrdiff_t first = step, nruns = listed, kept = 0, *src, *dst;
+            if (reserve(spare, w + (own->dirty[line] ? len + 1 : 2 * listed)))
+                return -1;
+            dst = spare->pairs + w;
+            for (d = 0; d < ndim; d++)
+                if (d != axis)
+                    first += coord[d] * strides[d];
+            if (own->dirty[line]) {
+                /* Scan it into dst: all of it the first time, then only the
+                 * listed runs, as no cell becomes foreground and a single
+                 * cell never joins a run. The padding ends every run. */
+                int whole = own->dirty[line] & 2;
+                const ptrdiff_t *spans = own->list.pairs + r;
+                nruns = 0;
+                for (ptrdiff_t sp = 0; sp < (whole ? 1 : listed); sp++) {
+                    ptrdiff_t i = whole ? first : spans[2 * sp];
+                    ptrdiff_t end = whole ? first + len * step : spans[2 * sp + 1] + step;
+                    while (i < end) {
+                        if (!buf[i]) {
+                            i += step;
+                            continue;
+                        }
+                        ptrdiff_t back = i;
+                        while (buf[i + step])
+                            i += step;
+                        if (i != back) {
+                            dst[2 * nruns] = back;
+                            dst[2 * nruns++ + 1] = i;
+                        }
+                        i += 2 * step;
+                    }
+                }
+                own->dirty[line] = 0;
+                src = dst;
+            } else {
+                src = own->list.pairs + r;
             }
-            /* The padding ends every run. */
-            ptrdiff_t back = i;
-            while (buf[i + step])
-                i += step;
-            ptrdiff_t front = i;
-            i += 2 * step;
-            if (front == back)
-                continue;
-            if (do_f && deletable(buf, front, plane, n, step, lo, hi)) {
-                buf[front] = 0;
-                deleted++;
+            r += 2 * listed;
+            /* Tested in order; kept never passes the read index where src is dst. */
+            for (ptrdiff_t q = 0; q < 2 * nruns; q += 2) {
+                ptrdiff_t back = src[q], front = src[q + 1];
+                if (dirs & 1 && deletable(buf, front, plane, n, step, lo, hi)) {
+                    buf[front] = 0;
+                    deleted++;
+                    coord[axis] = (front - first) / step + 1;
+                    mark(runs, axes, naxes, axis, ndim, coord);
+                    front -= step;
+                }
+                if (dirs & 2 && front != back && deletable(buf, back, plane, n, -step, lo, hi)) {
+                    buf[back] = 0;
+                    deleted++;
+                    coord[axis] = (back - first) / step + 1;
+                    mark(runs, axes, naxes, axis, ndim, coord);
+                    back += step;
+                }
+                if (front != back) { /* a single cell is never tested again */
+                    dst[kept++] = back;
+                    dst[kept++] = front;
+                }
             }
-            if (do_b && buf[back + step] && deletable(buf, back, plane, n, -step, lo, hi)) {
-                buf[back] = 0;
-                deleted++;
-            }
+            own->count[line] = kept / 2;
+            w += kept;
         }
+        line++;
         for (d = ndim - 1; d >= 0; d--) {
             if (d == axis)
                 continue;
@@ -156,8 +245,87 @@ ptrdiff_t slicethin_subcycle(unsigned char *buf, int ndim, const ptrdiff_t *shap
             coord[d] = 1;
         }
         if (d < 0)
-            return deleted;
+            break;
     }
+    t = own->list;
+    own->list = *spare;
+    *spare = t;
+    return deleted;
+}
+
+/* shape is the padded shape. subs holds each sub-cycle of the schedule as
+ * (axis, directions), directions bit 1 for fronts and bit 2 for backs, and
+ * ends[p] the number of sub-cycles up to the end of phase p. Runs every
+ * phase to convergence: an iteration runs each sub-cycle of its phase once,
+ * and the phase ends after an iteration that deletes nothing. Returns the
+ * number of iterations, or -1 where an allocation fails; the lists are
+ * freed either way.
+ *
+ * Lines go in lexicographic order of their fixed coordinates, runs in index
+ * order. A sub-cycle deletes only run extremes, and no cell becomes
+ * foreground again, so between two sub-cycles along an axis its runs change
+ * only at the cells deleted: those of its own sub-cycle move an extreme, and
+ * those of another axis's are in lines that its dirty bytes name, which are
+ * scanned again. */
+ptrdiff_t slicethin_thin(unsigned char *buf, int ndim, const ptrdiff_t *shape, const int *subs,
+                         const int *ends, int nphases)
+{
+    ptrdiff_t strides[MAX_DIMS], size = 1, iterations = 0, deleted;
+    struct runs runs[MAX_DIMS];
+    struct list spare = {NULL, 0};
+    int axes[MAX_DIMS], naxes = 0, d, e, j;
+    if (ndim > MAX_DIMS) /* the arrays above are sized for MAX_DIMS */
+        return nphases;
+    for (d = ndim - 1; d >= 0; d--) {
+        if (shape[d] < 3) /* no interior cells: each phase deletes nothing once */
+            return nphases;
+        strides[d] = size;
+        size *= shape[d];
+    }
+    for (d = 0; d < ndim; d++) {
+        for (j = 0; j < ends[nphases - 1] && subs[2 * j] != d; j++)
+            ;
+        if (j == ends[nphases - 1])
+            continue; /* not in the schedule */
+        struct runs *own = &runs[d];
+        ptrdiff_t lines = 1;
+        for (e = ndim - 1; e >= 0; e--) {
+            own->id[e] = e == d ? 0 : lines;
+            lines *= e == d ? 1 : shape[e] - 2;
+        }
+        own->list.pairs = NULL;
+        own->list.cap = 0;
+        own->count = calloc((size_t)lines, sizeof *own->count);
+        own->dirty = malloc((size_t)lines);
+        axes[naxes++] = d;
+        if (!own->count || !own->dirty) {
+            iterations = -1;
+            goto done;
+        }
+        memset(own->dirty, 2, (size_t)lines);
+    }
+    for (int p = 0; p < nphases; p++)
+        do {
+            iterations++;
+            deleted = 0;
+            for (int s = p ? ends[p - 1] : 0; s < ends[p]; s++) {
+                ptrdiff_t got = subcycle(buf, ndim, shape, strides, runs, axes, naxes,
+                                         subs[2 * s], subs[2 * s + 1], &spare);
+                if (got < 0) {
+                    iterations = -1;
+                    goto done;
+                }
+                deleted += got;
+            }
+        } while (deleted);
+done:
+    for (j = 0; j < naxes; j++) {
+        free(runs[axes[j]].list.pairs);
+        free(runs[axes[j]].count);
+        free(runs[axes[j]].dirty);
+    }
+    free(spare.pairs);
+    return iterations;
 }
 
 /* The bits of a sweep's buffer cell. */
@@ -268,7 +436,7 @@ ptrdiff_t slicethin_components(unsigned char *buf, int ndim, const ptrdiff_t *sh
         strides[d] = size;
         size *= shape[d];
     }
-    /* The plane loop of slicethin_subcycle over the line axes, kept apart:
+    /* The plane loop of the nd sub-cycle over the line axes, kept apart:
      * a shared helper changed the sub-cycle's code and slowed nd thinning of
      * a 40^3 sphere by 13-27% (gcc 12.2, -O2). */
     n = 1;

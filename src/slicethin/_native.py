@@ -4,14 +4,15 @@
 entry points from ``_ENTRY_POINTS`` and returns it. It is the only code
 that knows ctypes: ``thinning``, ``baselines``, ``pattern`` and ``metrics``
 call ``load()`` where they need a kernel, not at import, because the load
-may compile, and call the typed function directly. ``pointer``, ``shape``
-and ``scratch`` make the arguments: a kernel takes any writable buffer, a
-``bytearray`` here, by a reference to its first byte,
-and a shape as a ``c_ssize_t`` array. No argument needs a ctypes type of
-its own size: ctypes holds those weakly, and building one again costs about
-20 us. Importing this module loads ctypes and zlib, and a load from
-the cache nothing more: tempfile is imported only where the user's cache
-directory cannot be used, and subprocess only to compile.
+may compile, and call the typed function directly. ``pointer``, ``shape``,
+``ints`` and ``scratch`` make the arguments: a kernel takes any writable
+buffer, a ``bytearray`` here, by a reference to its first byte, a shape as
+a ``c_ssize_t`` array, and ``slicethin_thin`` its schedule as packed C
+ints. No argument needs a ctypes type of its own size: ctypes holds those
+weakly, and building one again costs about 20 us. Importing this module
+loads ctypes, struct and zlib, and a load from the cache nothing more:
+tempfile is imported only where the user's cache directory cannot be used,
+and subprocess only to compile.
 
 The library is cached in ``$XDG_CACHE_HOME/slicethin`` (default
 ``~/.cache/slicethin``), or, where that cannot be written, in
@@ -33,6 +34,7 @@ from __future__ import annotations
 import ctypes
 import os
 import stat
+import struct
 import zlib
 from contextlib import suppress
 from functools import lru_cache
@@ -44,11 +46,12 @@ COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 _SHAPE = ctypes.POINTER(ctypes.c_ssize_t)  # a c_ssize_t array, as ``shape`` gives
 _SHAPES = [ctypes.c_ssize_t * k for k in range(9)]  # one array type per k the kernels take
 # The argument types of each entry point; every one returns a ssize_t: a
-# count, or 0 from slicethin_counts, which fills its out array instead.
+# count, -1 from slicethin_thin where its lists find no memory, or 0 from
+# slicethin_counts, which fills its out array instead.
 _ENTRY_POINTS = {
-    # buf, ndim, shape, axis, do_f, do_b
-    "slicethin_subcycle": (ctypes.c_void_p, ctypes.c_int, _SHAPE,
-                           ctypes.c_int, ctypes.c_int, ctypes.c_int),
+    # buf, ndim, shape, subs, ends, nphases
+    "slicethin_thin": (ctypes.c_void_p, ctypes.c_int, _SHAPE,
+                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int),
     # buf, rows, cols, tables, list
     "slicethin_sweep": (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
                         ctypes.c_void_p, ctypes.c_void_p),
@@ -69,6 +72,11 @@ def pointer(buf):
 def shape(sizes):
     """A shape as a kernel's ``shape``: a ``c_ssize_t`` array of the sizes."""
     return _SHAPES[len(sizes)](*sizes)
+
+
+def ints(values):
+    """``values`` as a kernel's ``const int *``: packed C ints, by ``pointer``."""
+    return pointer(bytearray(struct.pack(f"{len(values)}i", *values)))
 
 
 def scratch(n):

@@ -74,13 +74,13 @@ def _numpy_counts(inp, sk):
 
 def _unit_width(area, covered):
     if area == 0:
-        raise UndefinedMetricError("measure_mt is undefined for an empty skeleton")
+        raise UndefinedMetricError("m_t is undefined for an empty skeleton")
     return 1 - covered / area
 
 
 def _ratio(area_input, area_skeleton):
     if area_input == 0:
-        raise UndefinedMetricError("size_ratio is undefined for an empty input")
+        raise UndefinedMetricError("s_r is undefined for an empty input")
     return area_skeleton / area_input
 
 

@@ -6,17 +6,20 @@ tests the run extremes (the front pixel with the highest index and the back
 pixel with the lowest) for deletability. Deletions are applied immediately,
 so later tests within the same pass see them.
 
-``thin`` pads the pattern once (``pattern._padded``), and every sub-cycle
-of the run works in place on that one ``Padded`` buffer, whose kernel
-arguments are built once per run. A sub-cycle runs in C
-(``slicethin_subcycle`` of the library that ``_native.load`` gives on the
-first sub-cycle) wherever a library loads, and only where none loads in the
-Python kernel below, its readable reference. Both apply the same plane test
-(``_deletable``), and each builds its own plane offsets from the buffer.
+``thin`` pads the pattern once (``pattern._padded``) and works in place on
+that one ``Padded`` buffer. Wherever a library loads (``_native.load``),
+the whole run is one call of ``slicethin_thin``, which keeps each axis's
+runs from one of its sub-cycles to the next and scans a line again only
+after a sub-cycle along another axis has deleted one of its cells. Only
+where none loads does ``thin`` run its phases here, one ``thin_subcycle``
+at a time: the Python kernel, the readable reference. Both apply the same
+plane test (``_deletable``) and give the same skeletons and iteration
+counts.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from . import _native
@@ -28,6 +31,8 @@ class ScheduleError(ValueError):
 
 
 _SUB_RE = re.compile(r"([0-9]+)(fb|f|b)")  # \d would take "١"
+# A sub-cycle's directions as slicethin_thin takes them: bit 1 fronts, bit 2 backs.
+_DIRECTIONS = {"f": 1, "b": 2, "fb": 3}
 
 
 def _phases(schedule, k):
@@ -87,30 +92,20 @@ def _deletable(buf, i, plane, triples, ahead):
 
 def thin_subcycle(padded, axis, directions):
     """One sequential deletion pass along ``axis``, in place on ``padded``,
-    the ``Padded`` of ``pattern._padded``. Returns the number of cells
-    deleted.
+    the ``Padded`` of ``pattern._padded``: the Python kernel. Returns the
+    number of cells deleted.
 
     Slices are visited in lexicographic order of their fixed coordinates,
     runs in increasing index order. Within a run the front pixel is tested
     first; the back pixel is only considered while the cell just ahead of it
     is still foreground (otherwise the run is already a single survivor).
-    """
-    lib = _native.load()
-    if lib is None:
-        return _python_subcycle(padded.array(), axis, directions)
-    return lib.slicethin_subcycle(padded.ptr, padded.ndim, padded.sizes,
-                                  axis, "f" in directions, "b" in directions)
-
-
-def _python_subcycle(view, axis, directions):
-    """The sub-cycle over the padded pattern ``view``.
-
     Every run's back and front cell are listed before the first test, which
     is exact because a deletion removes an extreme of the run under test;
     the tests read the live buffer.
     """
     import numpy as np
 
+    view = padded.array()
     buf = memoryview(view).cast("B")
     strides = view.strides  # in cells: a uint8 is one byte
     step = strides[axis]
@@ -151,10 +146,20 @@ def thin(pattern, schedule: str | None = None) -> tuple[np.ndarray, int]:
     Runs each phase to convergence (an iteration executes every sub-cycle
     of the phase once; the phase stops after the first iteration that
     deletes nothing). Returns the skeleton and the total number of
-    iterations across all phases.
+    iterations across all phases. Raises ``MemoryError`` where the C
+    kernel cannot allocate its run lists.
     """
     padded = _padded(pattern)
     phases = _phases(schedule, padded.ndim)
+    lib = _native.load()
+    if lib is not None:
+        subs = [n for phase in phases for axis, dirs in phase for n in (axis, _DIRECTIONS[dirs])]
+        ends = list(itertools.accumulate(map(len, phases)))
+        iterations = lib.slicethin_thin(padded.ptr, padded.ndim, padded.sizes,
+                                        _native.ints(subs), _native.ints(ends), len(phases))
+        if iterations < 0:
+            raise MemoryError("no memory for the run lists of the nd kernel")
+        return _as_given(padded, pattern), iterations
     iterations = 0
     for phase in phases:
         while True:

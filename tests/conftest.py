@@ -1,19 +1,10 @@
 import pytest
 
-from slicethin import _native
+from helpers import python_kernels
 
 
 def _no_kernel():
-    """Run the Python ``nd`` kernel, the numpy ZS/GH driver and the numpy
-    component counter in place of the C kernels.
-
-    Skipped where no C kernel loads (no compiler, or a failed build): the
-    plain tests have run those paths there.
-    """
-    if _native.load() is None:
-        pytest.skip("no C kernel loads here")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_native, "load", lambda: None)
+    with python_kernels():
         yield
 
 

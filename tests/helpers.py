@@ -1,19 +1,49 @@
-"""Shared test helpers: one ``nd`` sub-cycle as ``thin`` runs it, and pinned shape masks."""
+"""Shared test helpers: one ``nd`` sub-cycle of the Python kernel, the C
+kernels swapped for their twins, ``thin`` on both backends, and pinned
+shape masks."""
 
-from slicethin import thinning
+import contextlib
+
+import pytest
+
+from slicethin import _native, thinning
 from slicethin.pattern import _padded
 
 
 def run_subcycle(arr, axis, dirs):
-    """One sub-cycle on ``arr``, in place; returns the number of cells deleted.
+    """One sub-cycle of the Python kernel on ``arr``, in place; returns the
+    number of cells deleted.
 
-    ``arr`` may be any bool view: it is padded into the buffer ``thin``
-    gives the kernel, and the interior is written back.
+    ``arr`` may be any bool view: it is padded into the buffer the kernel
+    works on, and the interior is written back.
     """
     padded = _padded(arr)
     deleted = thinning.thin_subcycle(padded, axis, dirs)
     arr[...] = padded.array()[(slice(1, -1),) * arr.ndim]
     return deleted
+
+
+@contextlib.contextmanager
+def python_kernels():
+    """Run the Python ``nd`` kernel, the numpy ZS/GH driver and the numpy
+    component counter in place of the C kernels.
+
+    Skipped where no C kernel loads (no compiler, or a failed build): the
+    plain tests have run those paths there.
+    """
+    if _native.load() is None:
+        pytest.skip("no C kernel loads here")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_native, "load", lambda: None)
+        yield
+
+
+def on_both_backends(pattern, schedule=None):
+    """``thin`` of ``pattern`` by ``slicethin_thin``, then by the Python
+    kernel; skipped where no C kernel loads."""
+    native = thinning.thin(pattern, schedule)
+    with python_kernels():
+        return native, thinning.thin(pattern, schedule)
 
 
 # Two parameter sets per shape kind, with the SHA-256 of the mask's bytes

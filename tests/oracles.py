@@ -144,59 +144,29 @@ def _ring(fg, x, y):
 
 
 def zs_deletable_oracle(ring, sub):
-    """Zhang-Suen deletability of a pixel with neighbors ``ring`` = P2..P9."""
-    p2, p3, p4, p5, p6, p7, p8, p9 = ring
-    seq = [p2, p3, p4, p5, p6, p7, p8, p9, p2]
-    bp = sum(seq[:-1])
-    ap = sum(1 for a, b in zip(seq[:-1], seq[1:]) if not a and b)
-    if not (2 <= bp <= 6 and ap == 1):
-        return False
-    if sub == 0:
-        return not ((p2 and p4 and p6) or (p4 and p6 and p8))
-    return not ((p2 and p4 and p8) or (p2 and p6 and p8))
-
-
-def gh_deletable_oracle(ring, sub):
-    """Guo-Hall deletability of a pixel with neighbors ``ring`` = P2..P9."""
-    p2, p3, p4, p5, p6, p7, p8, p9 = ring
-    cp = (
-        (not p2 and (p3 or p4))
-        + (not p4 and (p5 or p6))
-        + (not p6 and (p7 or p8))
-        + (not p8 and (p9 or p2))
-    )
-    np1 = (p9 or p2) + (p3 or p4) + (p5 or p6) + (p7 or p8)
-    np2 = (p2 or p3) + (p4 or p5) + (p6 or p7) + (p8 or p9)
-    npv = min(np1, np2)
-    if sub == 0:
-        directional = (p2 or p3 or not p5) and p4
-    else:
-        directional = (p6 or p7 or not p9) and p8
-    return bool(cp == 1 and npv in (2, 3) and not directional)
-
-
-# The same two rules, stated apart from the oracles above with a parameter
-# per neighbour: the tests rebuild the baselines' table literals from these.
-def _zs_deletable(first, p2, p3, p4, p5, p6, p7, p8, p9):
-    """Zhang-Suen: 2 <= BP <= 6 and AP = 1, plus P2*P4*P6 = 0 and
-    P4*P6*P8 = 0 on the first sub-iteration (southeast boundary), or
-    P2*P4*P8 = 0 and P2*P6*P8 = 0 on the second (northwest boundary).
+    """Zhang-Suen deletability of a pixel with neighbours ``ring`` = P2..P9:
+    2 <= BP <= 6 and AP = 1, plus P2*P4*P6 = 0 and P4*P6*P8 = 0 on the first
+    sub-iteration (southeast boundary), or P2*P4*P8 = 0 and P2*P6*P8 = 0 on
+    the second (northwest boundary).
     """
+    p2, p3, p4, p5, p6, p7, p8, p9 = ring
     seq = (p2, p3, p4, p5, p6, p7, p8, p9, p2)
     bp = sum(seq[:-1])
     ap = sum(not a and b for a, b in zip(seq, seq[1:]))
-    if first:
+    if sub == 0:
         corner = (p2 and p4 and p6) or (p4 and p6 and p8)
     else:
         corner = (p2 and p4 and p8) or (p2 and p6 and p8)
     return 2 <= bp <= 6 and ap == 1 and not corner
 
 
-def _gh_deletable(first, p2, p3, p4, p5, p6, p7, p8, p9):
-    """Guo-Hall: connectivity number CP = 1, NP = min(NP1, NP2) in {2, 3},
-    and a zero directional term: (P2|P3|~P5) & P4 on the first (odd)
-    sub-iteration, (P6|P7|~P9) & P8 on the second.
+def gh_deletable_oracle(ring, sub):
+    """Guo-Hall deletability of a pixel with neighbours ``ring`` = P2..P9:
+    connectivity number CP = 1, NP = min(NP1, NP2) in {2, 3}, and a zero
+    directional term: (P2|P3|~P5) & P4 on the first (odd) sub-iteration,
+    (P6|P7|~P9) & P8 on the second.
     """
+    p2, p3, p4, p5, p6, p7, p8, p9 = ring
     cp = (
         (not p2 and (p3 or p4))
         + (not p4 and (p5 or p6))
@@ -205,7 +175,7 @@ def _gh_deletable(first, p2, p3, p4, p5, p6, p7, p8, p9):
     )
     np1 = (p9 or p2) + (p3 or p4) + (p5 or p6) + (p7 or p8)
     np2 = (p2 or p3) + (p4 or p5) + (p6 or p7) + (p8 or p9)
-    if first:
+    if sub == 0:
         directional = (p2 or p3 or not p5) and p4
     else:
         directional = (p6 or p7 or not p9) and p8

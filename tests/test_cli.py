@@ -167,7 +167,7 @@ class TestMetricsCommand:
         # The empty 2D skeleton is reported before the shape mismatch.
         sk = tmp_path / "empty.pbm"
         write_pattern(sk, np.zeros((7, 8), bool))
-        message = "measure_mt is undefined for an empty skeleton"
+        message = "m_t is undefined for an empty skeleton"
         with pytest.raises(UndefinedMetricError, match=message):
             evaluate(read_pattern(square7), read_pattern(sk), 0)
         assert main(["metrics", "--input", str(square7), "--skeleton", str(sk)]) == 1

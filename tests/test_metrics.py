@@ -55,7 +55,7 @@ class TestMeasureMt:
         assert m_t(arr) == 1.0
 
     def test_empty_skeleton_raises(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(UndefinedMetricError, match="^m_t is undefined for an empty skeleton$"):
             m_t(np.zeros((3, 3), bool))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -96,7 +96,7 @@ class TestSizeRatio:
 
     def test_empty_input_raises(self):
         empty = np.zeros((3, 3, 3), bool)
-        with pytest.raises(UndefinedMetricError, match="empty input"):
+        with pytest.raises(UndefinedMetricError, match="^s_r is undefined for an empty input$"):
             s_r(empty, empty)
 
     def test_shape_mismatch(self):

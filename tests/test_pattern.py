@@ -256,8 +256,6 @@ _TAKES_PATTERN = {
     "gh_thin": gh_thin,
     "component_count": component_count,
     "evaluate": lambda p: evaluate(p, p, 1),
-    "measure_mt": lambda p: evaluate(p, p, 0).m_t,
-    "size_ratio": lambda p: evaluate(p, p, 0).s_r,
     "ruggedize": lambda p: ruggedize(p, RuggedSpec(0.5, 0)),
     "write_pbm": write_pbm,
     "write_ndbin": write_ndbin,

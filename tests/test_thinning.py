@@ -5,9 +5,10 @@ from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
 from slicethin.pattern import DimensionError, component_count
+from slicethin.shapes import RuggedSpec, ShapeSpec, generate, ruggedize
 from slicethin.thinning import ScheduleError, thin
 
-from helpers import run_subcycle
+from helpers import on_both_backends, run_subcycle
 from oracles import foreground_coords, phases_oracle, subcycle_oracle, thin_oracle
 
 
@@ -182,9 +183,72 @@ class TestThinSubcycle:
             thin(np.ones((1,) * 9, bool))
 
 
-@pytest.mark.usefixtures("no_kernel")
-class TestThinSubcyclePython(TestThinSubcycle):
-    """The sub-cycle tests under the Python kernel, where the plain run used C."""
+def solid(kind, n, seed):
+    """A rugged n^3 solid of a ``volume-nd`` kind: noise splits its runs
+    along every axis."""
+    half, height = (n - 3) / 2, n - 4
+    params = {
+        "sphere": {"radius": half - 0.3},
+        "cylinder": {"radius": 0.75 * half, "height": height},
+        "hyperboloid-one-sheet": {"radius": 0.56 * half, "slope": 0.45 * height, "height": height},
+        "hyperboloid-two-sheet": {"radius": 0.45 * half, "slope": 0.25 * height, "height": height},
+        "elliptic-paraboloid": {"radius": 0.9 * half / (height - 1) ** 0.5, "height": height},
+    }[kind]
+    return ruggedize(generate(ShapeSpec(kind, (n,) * 3, params)), RuggedSpec(0.2, seed))
+
+
+# Schedules that come back to an axis with other directions, in one phase
+# and across phases, so that its runs outlive sub-cycles along other axes.
+REPEATS = ("2f,2b;1fb,0b,0f", "1fb;1f;0b,2fb")
+
+
+class TestRunLists:
+    """slicethin_thin keeps each axis's runs from one of its sub-cycles to the
+    next; it must give the Python twin's skeletons and iteration counts."""
+
+    @pytest.mark.parametrize("schedule", [None, "2fb", "2fb;1fb,0fb", *REPEATS])
+    @pytest.mark.parametrize("n", [12, 18, 24])
+    @pytest.mark.parametrize("kind", ["sphere", "cylinder", "hyperboloid-one-sheet",
+                                      "hyperboloid-two-sheet", "elliptic-paraboloid"])
+    def test_rugged_solids(self, kind, n, schedule):
+        p = solid(kind, n, n)
+        native, twin = on_both_backends(p, schedule)
+        assert_same_thinning(native, twin)
+        assert np.count_nonzero(native[0]) < np.count_nonzero(p)
+
+    @pytest.mark.parametrize("schedule", [None, "3fb;2f,1b,0fb", "1fb;1f;0b,2fb,3b"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_4d(self, seed, schedule):
+        native, twin = on_both_backends(random_pattern((7,) * 4, 0.5, seed), schedule)
+        assert_same_thinning(native, twin)
+
+    @pytest.mark.parametrize(
+        "shape, schedule",
+        [((7, 6, 7), REPEATS[0]), ((7, 6, 7), REPEATS[1]),
+         ((2, 1, 7), "2fb;1fb,0fb;0b"), ((2, 1, 7), "1f;0fb,2b")],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_oracle(self, shape, schedule, seed):
+        p = random_pattern(shape, 0.6, seed)
+        for result in on_both_backends(p, schedule):
+            assert (foreground_coords(result[0]), result[1]) == thin_oracle(
+                foreground_coords(p), p.shape, phases_oracle(schedule))
+
+    @pytest.mark.parametrize(
+        "pattern, schedule",
+        [
+            (np.ones((0, 5), bool), "1fb;0fb;1f"),
+            (np.ones((5, 0), bool), "0fb,1b;1fb"),
+            (np.ones((1, 9), bool), "1fb;0fb;1b,0f"),
+            (np.arange(14).reshape(2, 1, 7) < 7, "2fb;1fb,0fb;0b"),  # a segment: a fixed point
+            (np.ones((3, 0, 4), bool), "2fb;1fb,0fb"),
+        ],
+        ids=["0x5", "5x0", "1x9", "2x1x7", "3x0x4"],
+    )
+    def test_short_axes(self, pattern, schedule):
+        # Nothing can be deleted, so each phase stops after one iteration.
+        for result in on_both_backends(pattern, schedule):
+            assert_same_thinning(result, (pattern, schedule.count(";") + 1))
 
 
 _LAYOUTS = {
