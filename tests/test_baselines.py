@@ -162,10 +162,24 @@ def test_every_ring_code_matches_oracle_numpy(thin_fn, oracle):
     [(baselines._ZS_TABLES, zs_deletable_oracle), (baselines._GH_TABLES, gh_deletable_oracle)],
 )
 def test_tables_match_oracle_rule(tables, deletable):
+    for sub, table in enumerate(tables):
+        for code in range(256):
+            ring = tuple(bool(code >> i & 1) for i in range(8))
+            assert table[code] == deletable(ring, sub), (sub, code)
+
+
+@pytest.mark.parametrize(
+    "tables, rule",
+    [
+        pytest.param(baselines._ZS_TABLES, zs_deletable_oracle, id="tables0-_zs_deletable"),
+        pytest.param(baselines._GH_TABLES, gh_deletable_oracle, id="tables1-_gh_deletable"),
+    ],
+)
+def test_table_literals_match_rules(tables, rule):
     # The literals, rebuilt from the rules: a byte per neighbour code, a table
     # per sub-iteration.
     rings = [[bool(code >> i & 1) for i in range(8)] for code in range(256)]
-    assert tables == tuple(bytes(deletable(ring, sub) for ring in rings) for sub in (0, 1))
+    assert tables == tuple(bytes(rule(ring, sub) for ring in rings) for sub in (0, 1))
 
 
 RULES = {"zs": (zs_thin, zs_oracle), "gh": (gh_thin, gh_oracle)}
