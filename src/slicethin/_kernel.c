@@ -21,8 +21,9 @@
  * components, by a flood fill over the runs along the last axis.
  *
  * slicethin_counts: what the metrics count of an input and its skeleton, in
- * one pass over both: the areas, the skeleton cells outside the input and
- * the 2x2-covered skeleton cells (metrics._numpy_counts).
+ * one pass over both, eight cells to a word and without a branch on a cell:
+ * the areas, the skeleton cells outside the input and the 2x2-covered
+ * skeleton cells (metrics._numpy_counts).
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -471,39 +472,75 @@ ptrdiff_t slicethin_components(unsigned char *buf, int ndim, const ptrdiff_t *sh
     return count;
 }
 
-/* Whether the 2x2 window with top-left corner t is all foreground. */
-static int full_window(const unsigned char *buf, ptrdiff_t t, ptrdiff_t cols)
+/* The eight cells from p on, a byte each, as one word. */
+static uint64_t word(const unsigned char *p)
 {
-    return buf[t] && buf[t + 1] && buf[t + cols] && buf[t + cols + 1];
+    uint64_t w;
+    memcpy(&w, p, sizeof w);
+    return w;
+}
+
+/* Lane by lane, 1 where a skeleton cell c is the corner of an
+ * all-foreground 2x2 window of the skeleton, whose top-left corner is the
+ * cell or its neighbour to the west, north or north-west: from c and its
+ * eight neighbours, row by row, each 0 or 1 in every lane. */
+static uint64_t covered(uint64_t nw, uint64_t n, uint64_t ne, uint64_t w, uint64_t c,
+                        uint64_t e, uint64_t sw, uint64_t s, uint64_t se)
+{
+    return c & ((nw & n & w) | (n & ne & e) | (w & sw & s) | (e & s & se));
+}
+
+/* Adds up the byte lanes of each of the four words into counts, and clears them. */
+static void add_lanes(uint64_t *lanes, ptrdiff_t *counts)
+{
+    const uint64_t bytes = UINT64_C(0x00FF00FF00FF00FF);
+    for (int j = 0; j < 4; j++) {
+        uint64_t pairs = (lanes[j] & bytes) + (lanes[j] >> 8 & bytes);
+        counts[j] += (ptrdiff_t)(pairs * UINT64_C(0x0001000100010001) >> 48);
+        lanes[j] = 0;
+    }
 }
 
 /* input and skeleton are padded buffers of one shape. Fills counts with the
  * input's area, the skeleton's area, the skeleton cells outside the input
- * and, in 2D, the skeleton cells that an all-foreground 2x2 window of the
- * skeleton covers (0 for k > 2); returns 0. A covered cell is the corner of
- * a full window whose top-left corner is the cell itself or its neighbour
- * to the west, north or north-west. Only interior cells are foreground, so
- * every window read is in bounds. */
+ * and, in 2D, the covered skeleton cells (0 for k > 2); returns 0. No
+ * branch depends on a cell: the counts are taken eight cells at a time, as
+ * the byte lanes of a word, each lane added up before it could pass 255,
+ * and then the last few cells one at a time. The first and the last
+ * cols + 1 cells are padding, so every neighbour read is in bounds. */
 ptrdiff_t slicethin_counts(const unsigned char *input, const unsigned char *skeleton, int ndim,
                            const ptrdiff_t *shape, ptrdiff_t *counts)
 {
-    ptrdiff_t size = 1, cols = shape[ndim - 1], area_in = 0, area_sk = 0, outside = 0, covered = 0;
+    ptrdiff_t size = 1, cols = shape[ndim - 1], i = cols + 1, end;
+    uint64_t lanes[4] = {0, 0, 0, 0};
     int d;
     for (d = 0; d < ndim; d++)
         size *= shape[d];
-    for (ptrdiff_t i = 0; i < size; i++) {
-        area_in += input[i];
-        if (!skeleton[i])
-            continue;
-        area_sk++;
-        outside += !input[i];
-        covered += ndim == 2 && (full_window(skeleton, i - cols - 1, cols) ||
-                                 full_window(skeleton, i - cols, cols) ||
-                                 full_window(skeleton, i - 1, cols) || full_window(skeleton, i, cols));
+    end = size - cols - 1;
+    for (d = 0; d < 4; d++)
+        counts[d] = 0;
+    while (i + 8 <= end) {
+        for (int words = 0; words < 255 && i + 8 <= end; words++, i += 8) {
+            const unsigned char *p = skeleton + i;
+            uint64_t in = word(input + i), sk = word(p);
+            lanes[0] += in;
+            lanes[1] += sk;
+            lanes[2] += sk & ~in;
+            if (ndim == 2)
+                lanes[3] += covered(word(p - cols - 1), word(p - cols), word(p - cols + 1),
+                                    word(p - 1), sk, word(p + 1),
+                                    word(p + cols - 1), word(p + cols), word(p + cols + 1));
+        }
+        add_lanes(lanes, counts);
     }
-    counts[0] = area_in;
-    counts[1] = area_sk;
-    counts[2] = outside;
-    counts[3] = covered;
+    for (; i < end; i++) {
+        const unsigned char *p = skeleton + i;
+        counts[0] += input[i];
+        counts[1] += p[0];
+        counts[2] += p[0] & !input[i];
+        if (ndim == 2)
+            counts[3] += (ptrdiff_t)covered(p[-cols - 1], p[-cols], p[-cols + 1], p[-1], p[0],
+                                            p[1], p[cols - 1], p[cols], p[cols + 1]);
+    }
     return 0;
 }

@@ -8,9 +8,10 @@ cannot be read or written, a 3D pattern written as PBM).
 Each input file is read in the format its first token names, under any
 name; each output is written in the format its extension names.
 
-The CLI holds each pattern as a ``pattern.Padded`` from read to write, and
-thin, compare and metrics import no numpy wherever the C kernels load;
-gen builds its shapes with numpy.
+The CLI holds each pattern as a ``pattern.Padded`` from read or generation
+to write. gen imports no numpy: ``shapes.generate_padded`` evaluates the
+solid a line at a time and ``shapes.ruggedize`` draws its noise in pure
+Python. thin, compare and metrics import none wherever the C kernels load.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def cmd_gen(args) -> int:
     params = {name: getattr(args, name) for name in shapes.PARAMS
               if getattr(args, name) is not None}
     try:
-        pattern = shapes.generate(ShapeSpec(kind=args.shape, grid=grid, params=params))
+        pattern = shapes.generate_padded(ShapeSpec(kind=args.shape, grid=grid, params=params))
         if args.rugged is not None:
             pattern = shapes.ruggedize(pattern, RuggedSpec(args.rugged, args.seed))
     except MarginError:  # a ValueError, but an algorithm error: exit 1, not 2

@@ -1,11 +1,16 @@
 """Shared test helpers: one ``nd`` sub-cycle of the Python kernel, the C
-kernels swapped for their twins, ``thin`` on both backends, and pinned
-shape masks."""
+kernels swapped for their twins, ``thin`` on both backends, Python code run
+in a fresh interpreter, and pinned shape masks."""
 
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slicethin
 from slicethin import _native, thinning
 from slicethin.pattern import _padded
 
@@ -44,6 +49,22 @@ def on_both_backends(pattern, schedule=None):
     native = thinning.thin(pattern, schedule)
     with python_kernels():
         return native, thinning.thin(pattern, schedule)
+
+
+def child_env(**env):
+    """This environment plus ``env``, with this slicethin importable."""
+    src = str(Path(slicethin.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, **env, "PYTHONPATH": path}
+
+
+def run_python(code, **env):
+    """The words ``code`` prints in a fresh interpreter, which must exit 0."""
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(**env), capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 # Two parameter sets per shape kind, with the SHA-256 of the mask's bytes

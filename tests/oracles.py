@@ -206,6 +206,32 @@ def gh_oracle(fg, shape):
     return _mark_sweep_oracle(fg, gh_deletable_oracle)
 
 
+# ---------------------------------------------------------------- ruggedize
+
+
+def ruggedize_oracle(arr, probability, seed):
+    """``arr`` with each boundary cell (one with a face-neighbour in the
+    background or outside the grid) deleted where its draw is below
+    ``probability``: the boundary cells take the draws of numpy's
+    ``default_rng(seed).random()`` in lexicographic order."""
+    if not 0.0 <= probability <= 1.0:
+        raise ValueError("probability must be in [0, 1]")
+    fg = foreground_coords(arr)
+
+    def face_neighbours(p):
+        for axis in range(len(p)):
+            for step in (-1, 1):
+                yield p[:axis] + (p[axis] + step,) + p[axis + 1 :]
+
+    boundary = sorted(p for p in fg if any(q not in fg for q in face_neighbours(p)))
+    draws = np.random.default_rng(seed).random(len(boundary))
+    out = np.array(arr, bool)
+    for p, draw in zip(boundary, draws):
+        if draw < probability:
+            out[p] = False
+    return out
+
+
 # ---------------------------------------------------------------- file formats
 # The byte-at-a-time tokenizer readers the numpy codec in slicethin.formats
 # replaced: same arrays, same ParseError offsets.

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import math
+import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,9 +15,10 @@ from hypothesis.extra import numpy as hnp
 from slicethin.cli import _UsageError, build_parser, main
 from slicethin.formats import read_pattern, write_ndbin, write_pbm, write_pattern
 from slicethin.metrics import CSV_HEADER, UndefinedMetricError, evaluate
-from slicethin.shapes import ShapeSpec, generate
+from slicethin.shapes import _SHAPES, KINDS, MarginError, ShapeSpec, generate
 
 from helpers import SHAPE_DIGESTS
+from oracles import ruggedize_oracle
 
 
 @pytest.fixture
@@ -245,6 +249,117 @@ class TestGenCommand:
         code = main(["gen", "--shape", "blob", "--grid", "7x7",
                      "--output", str(tmp_path / "s.pbm")])
         assert code == 2
+
+
+# ---------------------------------------------------------------- gen without numpy
+
+
+def _gen_expected(kind, grid, params, rugged, seed, pbm):
+    """What gen writes, or its exit code and stderr: the library's numpy
+    solid, the oracle's noise and the array writer."""
+    try:
+        pattern = generate(ShapeSpec(kind, grid, params))
+        if rugged is not None:
+            pattern = ruggedize_oracle(pattern, rugged, seed)
+        return 0, "", (write_pbm if pbm else write_ndbin)(pattern)
+    except ValueError as exc:  # MarginError, a bad spec, a 3D pattern as PBM
+        return (1 if isinstance(exc, MarginError) else 2), f"error: {exc}\n", None
+
+
+def _random_gen_case(kind, rng):
+    """A grid, parameters, noise and output format for ``kind``, drawn to hit
+    solids that fit, touch the faces or come out empty, bad parameters and
+    seeds, and 3D patterns written as PBM."""
+    ndim, names, _ = _SHAPES[kind]
+    if rng.random() < 0.05:
+        ndim = 5 - ndim  # the wrong rank
+    grid = tuple(rng.randint(1, 17 if ndim == 2 else 11) for _ in range(ndim))
+    size = max(grid)
+    params = {}
+    for name in names:
+        scale = {"radius": 0.5, "slope": 0.4}.get(name, 1.0)
+        params[name] = round(rng.uniform(0.1, 1.1) * scale * size, rng.choice([0, 1, 2, 6]))
+    if kind == "elliptic-paraboloid":  # widest at radius * sqrt(height - 1)
+        params["radius"] /= math.sqrt(max(params["height"] - 1, 1))
+    if rng.random() < 0.1:
+        bad = rng.choice([0.0, -1.5, math.nan, math.inf, None, "other"])
+        name = rng.choice(names)
+        if bad is None:
+            del params[name]
+        elif bad == "other":
+            params[next(n for n in ("side", "radius") if n not in names)] = 3.0
+        else:
+            params[name] = bad
+    rugged = seed = None
+    if rng.random() < 0.6:
+        rugged = rng.choice([0.0, 0.2, 0.5, 1.0, rng.random(), 1.5])
+        seed = rng.choice([0, rng.getrandbits(31), rng.getrandbits(100), -1])
+    pbm = ndim == 2 if rng.random() < 0.9 else ndim == 3
+    return grid, params, rugged, seed, pbm
+
+
+def _check_gen(monkeypatch, capsys, tmp_path, kind, grid, params, rugged, seed, pbm):
+    """Run gen with numpy blocked and compare it with ``_gen_expected``;
+    returns its exit code."""
+    out = tmp_path / ("g.pbm" if pbm else "g.ndbin")
+    out.unlink(missing_ok=True)
+    argv = ["gen", "--shape", kind, "--grid", "x".join(map(str, grid)), "--output", str(out)]
+    argv += [f"--{name}={value!r}" for name, value in params.items()]
+    if rugged is not None:
+        argv += [f"--rugged={rugged!r}", f"--seed={seed}"]
+    with monkeypatch.context() as patch:
+        patch.setitem(sys.modules, "numpy", None)  # every import of numpy now fails
+        code = main(argv)
+    expected_code, expected_err, data = _gen_expected(kind, grid, params, rugged, seed, pbm)
+    assert (code, capsys.readouterr().err) == (expected_code, expected_err)
+    if data is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == data
+    return code
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gen_without_numpy_matches_library(monkeypatch, capsys, tmp_path, kind):
+    """gen, with numpy blocked, on random grids and parameters, with and
+    without noise: the library's bytes, or its error."""
+    rng = random.Random(kind)
+    codes = [_check_gen(monkeypatch, capsys, tmp_path, kind, *_random_gen_case(kind, rng))
+             for _ in range(40)]
+    assert set(codes) == {0, 1, 2}
+
+
+@pytest.mark.parametrize(
+    "kind, grid, params, rugged, seed, pbm",
+    [
+        ("square", (7, 7), {"side": 7}, None, None, True),
+        ("cylinder", (9, 9, 5), {"radius": 2, "height": 5}, 0.5, 3, False),
+        ("hyperboloid-two-sheet", (9, 9, 9), {"radius": 1, "slope": 10, "height": 3}, None,
+         None, False),
+        ("disc", (9, 9), {"radius": 0.0}, None, None, True),
+        ("triangle", (9, 9), {"base": 5, "height": 1.5}, None, None, True),
+        ("disc", (9, 9), {"radius": 3.0}, 0.2, -1, True),
+        ("sphere", (7, 7, 7), {"radius": 2.0}, 0.3, 11, True),
+        ("square", (20000, 20000), {"side": 3}, None, None, True),
+        # Two intervals of the last axis on the central lines.
+        ("hyperboloid-two-sheet", (11, 11, 13), {"radius": 1.5, "slope": 1.5, "height": 11},
+         0.4, 2**70, False),
+        ("sphere", (40, 40, 40), {"radius": 18.3}, 0.2, 12345, False),
+        ("disc", (256, 256), {"radius": 120.0}, 0.2, 7, True),
+    ],
+    ids=["margin", "margin-3d", "empty", "zero-radius", "short-triangle", "negative-seed",
+         "3d-as-pbm", "oversized", "two-sheet", "large-sphere", "large-disc"],
+)
+def test_gen_without_numpy_cases(monkeypatch, capsys, tmp_path, kind, grid, params, rugged,
+                                 seed, pbm):
+    _check_gen(monkeypatch, capsys, tmp_path, kind, grid, params, rugged, seed, pbm)
+
+
+def test_two_sheet_line_has_two_intervals():
+    p = generate(ShapeSpec("hyperboloid-two-sheet", (11, 11, 13),
+                           {"radius": 1.5, "slope": 1.5, "height": 11}))
+    line = p[5, 5].astype(np.int8)
+    assert np.count_nonzero(np.diff(line) == 1) == 2
 
 
 @pytest.mark.parametrize(

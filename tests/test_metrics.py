@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,33 @@ def test_counts_match_numpy_twin(shape, fortran):
     if sk.ndim == 2:
         fg = {tuple(map(int, c)) for c in np.argwhere(sk)}
         assert counts[3] == len(nuw_oracle(fg, sk.shape))
+
+
+def test_counts_on_every_small_2d_shape():
+    """Every 2D shape up to 6 x 6, where the cells that slicethin_counts
+    takes one at a time, after its words, span more than one row."""
+    if _native.load() is None:
+        pytest.skip("no C kernel loads here")
+    rng = np.random.default_rng(3)
+    for shape in product(range(1, 7), repeat=2):
+        for _ in range(10):
+            inp, sk = rng.random(shape) < 0.7, rng.random(shape) < 0.7
+            a, b = _padded(inp), _padded(sk)
+            assert metrics._counts(a, b) == metrics._numpy_counts(a.array(), b.array()), shape
+
+
+@pytest.mark.parametrize("shape", [(3, 3000), (2, 2, 4000), (250, 250)])
+def test_counts_of_long_runs_and_dense_skeletons(shape):
+    """slicethin_counts adds up eight cells at a time in byte lanes: runs of
+    thousands of foreground cells fill every lane past 255 words, and a
+    dense random skeleton covers cells all over."""
+    if _native.load() is None:
+        pytest.skip("no C kernel loads here")
+    full = _padded(np.ones(shape, bool))
+    size = np.prod(shape)
+    covered = size if len(shape) == 2 else 0
+    assert metrics._counts(full, full) == (size, size, 0, covered)
+    rng = np.random.default_rng(size)
+    inp, sk = rng.random(shape) < 0.5, rng.random(shape) < 0.7
+    a, b = _padded(inp), _padded(sk)
+    assert metrics._counts(a, b) == metrics._numpy_counts(a.array(), b.array())

@@ -7,18 +7,17 @@ import re
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import slicethin
 from slicethin import _native, baselines, pattern, thinning
 from slicethin.metrics import evaluate
 from slicethin.pattern import _MAX_DIMS, component_count
 from slicethin.shapes import ShapeSpec, generate
 from slicethin.thinning import thin
 
+from helpers import child_env, run_python
 from oracles import components_oracle, foreground_coords, gh_oracle, thin_oracle, zs_oracle
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -119,21 +118,6 @@ def test_no_user_ids_and_no_cache_falls_back(kernel, monkeypatch, tmp_path):
     monkeypatch.delattr(os, "getuid")
     assert _native.load() is None
     assert thinned(PATTERN) == EXPECTED
-
-
-def child_env(**env):
-    """This environment plus ``env``, with this slicethin importable."""
-    src = str(Path(slicethin.__file__).parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    return {**os.environ, **env, "PYTHONPATH": path}
-
-
-def run_python(code, **env):
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=child_env(**env), capture_output=True, text=True
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.split()
 
 
 # Counts the processes the kernel load starts, in a fresh interpreter.
@@ -270,8 +254,8 @@ def test_import_loads_no_kernel():
 
 
 # Runs every CLI command on a disc and an annulus in the working directory,
-# with scipy blocked when argv[1] is "block", and numpy too for every thin,
-# compare and metrics call where the C kernels load (their twins import it);
+# with scipy blocked when argv[1] is "block", and numpy too for every call
+# where the C kernels load (their twins import it);
 # prints exit codes, stdout and the files written.
 CLI_RUN = """
 import contextlib, io, json, sys
@@ -297,7 +281,7 @@ argvs += [["compare", "--input", "disc.pbm", "annulus.pbm", "--algos", "zs,gh,nd
 runs = []
 for argv in argvs:
     out = io.StringIO()
-    if block and argv[0] != "gen" and _native.load() is not None:
+    if block and _native.load() is not None:
         sys.modules["numpy"] = None  # every import of numpy now fails
     with contextlib.redirect_stdout(out):
         code = main(argv)

@@ -1,19 +1,25 @@
 import hashlib
+import operator
+import random
 import warnings
 
 import numpy as np
 import pytest
 
+from slicethin.pattern import Padded, _padded
 from slicethin.shapes import (
     KINDS,
     MarginError,
     RuggedSpec,
     ShapeSpec,
+    _Line,
+    _uniforms,
     generate,
     ruggedize,
 )
 
-from helpers import SHAPE_DIGESTS
+from helpers import SHAPE_DIGESTS, run_python
+from oracles import ruggedize_oracle
 
 
 def spec(kind, grid, **params):
@@ -52,6 +58,14 @@ class TestGenerate:
     def test_cylinder_margin_violation(self):
         with pytest.raises(MarginError):
             generate(spec("cylinder", (9, 9, 5), radius=2, height=5))
+
+    def test_margin_violation_at_the_high_face_only(self):
+        # On an even cross-section no cell centre lies on the apex, so the
+        # first z plane is empty and only the last one touches.
+        p = generate(spec("elliptic-paraboloid", (8, 8, 7), radius=1, height=5))
+        assert not p[:, :, 1].any() and p[:, :, -2].any()
+        with pytest.raises(MarginError, match="along axis 2"):
+            generate(spec("elliptic-paraboloid", (8, 8, 5), radius=1, height=5))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -185,3 +199,82 @@ class TestRuggedize:
         p = generate(spec("disc", (9, 9), radius=3))
         with pytest.raises(ValueError):
             ruggedize(p, RuggedSpec(1.5, 0))
+
+    def test_matches_oracle(self):
+        # Random k = 2..4 patterns, foreground on the grid's faces too.
+        rng = np.random.default_rng(25)
+        for _ in range(150):
+            shape = tuple(rng.integers(1, 8, rng.integers(2, 5)))
+            p = rng.random(shape) < rng.random()
+            probability = float(rng.choice([0.0, 0.3, 0.5, 1.0, rng.random()]))
+            seed = int(rng.integers(1 << 40))
+            expected = ruggedize_oracle(p, probability, seed)
+            out = ruggedize(p, RuggedSpec(probability, seed))
+            assert out.dtype == bool and np.array_equal(out, expected), (shape, seed)
+            padded = _padded(p)
+            out = ruggedize(padded, RuggedSpec(probability, seed))
+            assert isinstance(out, Padded) and np.array_equal(out.unpadded(), expected)
+            assert np.array_equal(padded.unpadded(), p)  # the input stays as it was
+
+    def test_seed_errors_as_numpy(self):
+        p = generate(spec("disc", (9, 9), radius=3))
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            ruggedize(p, RuggedSpec(0.0, -1))
+        with pytest.raises(TypeError):
+            ruggedize(p, RuggedSpec(0.5, 1.5))
+
+    def test_imports_no_numpy_random(self):
+        code = ("import sys, numpy; print('numpy.random' in sys.modules); "
+                "from slicethin import RuggedSpec, ShapeSpec, generate, ruggedize; "
+                "disc = generate(ShapeSpec('disc', (9, 9), {'radius': 3})); "
+                "ruggedize(disc, RuggedSpec(0.5, 1)); print('numpy.random' in sys.modules)")
+        with_numpy, after = run_python(code)
+        if with_numpy == "True":
+            pytest.skip("this numpy imports numpy.random when it is imported")
+        assert after == "False"
+
+
+class TestLine:
+    """``_Line``'s operators against numpy's, elementwise, in either order."""
+
+    @pytest.mark.parametrize(
+        "run", [operator.add, operator.sub, operator.mul, operator.truediv, operator.le,
+                operator.ge, operator.and_])
+    def test_operators_match_numpy(self, run):
+        rng = np.random.default_rng(7)
+        if run is operator.and_:
+            a, b, number = rng.random(9) < 0.5, rng.random(9) < 0.5, True
+        else:
+            a, b, number = rng.random(9) - 0.5, rng.random(9) + 0.5, 1.7
+        line, other = _Line(a.tolist()), _Line(b.tolist())
+        for x, y, expected in [(line, other, run(a, b)), (line, number, run(a, number)),
+                               (number, line, run(number, a))]:
+            assert run(x, y).values == expected.tolist(), (run, x, y)
+
+    def test_abs(self):
+        assert abs(_Line([-1.5, 0.0, 2.0])).values == [1.5, 0.0, 2.0]
+
+
+class TestUniforms:
+    """``_uniforms`` against the stream of numpy's ``default_rng(seed).random``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
+    def test_edge_seeds(self, seed):
+        assert _uniforms(seed, 1000) == np.random.default_rng(seed).random(1000).tolist()
+
+    def test_random_seeds(self):
+        rng = random.Random(25)
+        for _ in range(200):
+            seed, n = rng.getrandbits(rng.randint(1, 200)), rng.randint(0, 1000)
+            assert _uniforms(seed, n) == np.random.default_rng(seed).random(n).tolist(), seed
+
+    def test_negative_seed_raises_as_numpy(self):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError, match=f"^{numpy_error.value}$"):
+            _uniforms(-1, 3)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    def test_non_integer_seed_raises(self, seed):
+        with pytest.raises(TypeError):
+            _uniforms(seed, 3)
