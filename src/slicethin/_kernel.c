@@ -336,26 +336,30 @@ done:
 
 /* buf is the padded rows x cols pattern; tables holds the two
  * sub-iterations' 256-entry deletability tables, indexed by the code of
- * P2..P9 (bit i is P(i+2)). list is scratch for one flat index per pattern
- * cell. Returns the number of iterations, the last one deleting nothing;
- * buf holds the skeleton, again as 0 or 1.
+ * P2..P9 (bit i is P(i+2)). Returns the number of iterations, the last one
+ * deleting nothing, or -1 where the list finds no memory; buf holds the
+ * skeleton, again as 0 or 1.
  *
- * The list holds every foreground pixel with a background 8-neighbour, and
- * maybe more: a pixel with 8 foreground neighbours has BP = 8 for ZS and
- * CP = 0 for GH, so neither rule can delete it. A sub-iteration marks the
- * listed pixels whose code, read from the FG bits alone, hits the table, so
- * every code sees the frozen image; then it deletes the marked pixels. The
- * next list is the unmarked pixels of this one plus the foreground
- * neighbours of the deleted ones, which the LISTED bit keeps from being
- * listed twice. Those neighbours are foreground pixels not yet listed, so
- * they fit in list after the current entries. */
+ * The list, malloced for one flat index per pattern cell and one more (a
+ * pattern may have none), holds every foreground pixel with a background
+ * 8-neighbour, and maybe more: a pixel with 8 foreground neighbours has
+ * BP = 8 for ZS and CP = 0 for GH, so neither rule can delete it. A
+ * sub-iteration marks the listed pixels whose code, read from the FG bits
+ * alone, hits the table, so every code sees the frozen image; then it
+ * deletes the marked pixels. The next list is the unmarked pixels of this
+ * one plus the foreground neighbours of the deleted ones, which the LISTED
+ * bit keeps from being listed twice. Those neighbours are foreground pixels
+ * not yet listed, so they fit in list after the current entries. */
 ptrdiff_t slicethin_sweep(unsigned char *buf, ptrdiff_t rows, ptrdiff_t cols,
-                          const unsigned char *tables, ptrdiff_t *list)
+                          const unsigned char *tables)
 {
     /* P2..P9: north, then clockwise. */
     const ptrdiff_t ring[8] = {-cols, 1 - cols, 1, cols + 1, cols, cols - 1, -1, -cols - 1};
     ptrdiff_t n = 0, iterations = 0, r;
     int changed = 1, k;
+    ptrdiff_t *list = malloc((size_t)((rows - 2) * (cols - 2) + 1) * sizeof *list);
+    if (!list)
+        return -1;
     /* Only interior cells can be foreground, so their neighbours are in bounds. */
     for (ptrdiff_t i = cols + 1; i < (rows - 1) * cols - 1; i++)
         if (buf[i])
@@ -403,6 +407,7 @@ ptrdiff_t slicethin_sweep(unsigned char *buf, ptrdiff_t rows, ptrdiff_t cols,
     }
     for (r = 0; r < n; r++)
         buf[list[r]] = FG;
+    free(list);
     return iterations;
 }
 
@@ -418,18 +423,19 @@ static ptrdiff_t visit(unsigned char *buf, ptrdiff_t j)
     return start;
 }
 
-/* shape is the padded shape; stack is scratch for the start index of every
- * run along the last axis. Returns the number of (3^k - 1)-connected
- * foreground components; buf is left with 2 on every foreground cell.
+/* shape is the padded shape. Returns the number of (3^k - 1)-connected
+ * foreground components, or -1 where the stack finds no memory; buf is left
+ * with 2 on every foreground cell.
  *
  * A fill starts at each unvisited foreground cell, in index order. A run is
  * marked visited when it is pushed, so it is pushed once. Cells l - 1 .. r + 1
  * of each of the 3^(k-1) - 1 neighbouring lines hold every cell adjacent to
- * the run [l, r] there, so popping it pushes the unvisited runs among them. */
-ptrdiff_t slicethin_components(unsigned char *buf, int ndim, const ptrdiff_t *shape,
-                               ptrdiff_t *stack)
+ * the run [l, r] there, so popping it pushes the unvisited runs among them.
+ * The stack, malloced and freed here, holds one run start per entry; the
+ * padding ends every run, so size / 2 + 1 entries bound the runs. */
+ptrdiff_t slicethin_components(unsigned char *buf, int ndim, const ptrdiff_t *shape)
 {
-    ptrdiff_t strides[MAX_DIMS], lines[MAX_PLANE], size = 1, n, count = 0;
+    ptrdiff_t strides[MAX_DIMS], lines[MAX_PLANE], size = 1, n, count = 0, *stack;
     int d;
     if (ndim > MAX_DIMS) /* the arrays above are sized for MAX_DIMS */
         return -1;
@@ -453,6 +459,9 @@ ptrdiff_t slicethin_components(unsigned char *buf, int ndim, const ptrdiff_t *sh
     }
     lines[n / 2] = lines[n - 1]; /* the run's own line is not a neighbour */
     n--;
+    stack = malloc((size_t)(size / 2 + 1) * sizeof *stack);
+    if (!stack)
+        return -1;
     for (ptrdiff_t i = 0; i < size; i++) {
         if (buf[i] != 1)
             continue;
@@ -469,6 +478,7 @@ ptrdiff_t slicethin_components(unsigned char *buf, int ndim, const ptrdiff_t *sh
                         stack[top++] = visit(buf, c);
         }
     }
+    free(stack);
     return count;
 }
 

@@ -7,12 +7,14 @@ call ``load()`` where they need a kernel, not at import, because the load
 may compile, and call the typed function directly. ``pointer``, ``shape``,
 ``ints`` and ``scratch`` make the arguments: a kernel takes any writable
 buffer, a ``bytearray`` here, by a reference to its first byte, a shape as
-a ``c_ssize_t`` array, and ``slicethin_thin`` its schedule as packed C
-ints. No argument needs a ctypes type of its own size: ctypes holds those
-weakly, and building one again costs about 20 us. Importing this module
-loads ctypes, struct and zlib, and a load from the cache nothing more:
-tempfile is imported only where the user's cache directory cannot be used,
-and subprocess only to compile.
+a ``c_ssize_t`` array, ``slicethin_thin`` its schedule as packed C ints and
+``slicethin_counts`` an out array from ``scratch``. The other kernels
+malloc and free their own lists and stacks, and return -1 where those find
+no memory; their callers raise ``MemoryError``. No argument needs a ctypes
+type of its own size: ctypes holds those weakly, and building one again
+costs about 20 us. Importing this module loads ctypes, struct and zlib, and
+a load from the cache nothing more: tempfile is imported only where the
+user's cache directory cannot be used, and subprocess only to compile.
 
 The library is cached in ``$XDG_CACHE_HOME/slicethin`` (default
 ``~/.cache/slicethin``), or, where that cannot be written, in
@@ -46,17 +48,16 @@ COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 _SHAPE = ctypes.POINTER(ctypes.c_ssize_t)  # a c_ssize_t array, as ``shape`` gives
 _SHAPES = [ctypes.c_ssize_t * k for k in range(9)]  # one array type per k the kernels take
 # The argument types of each entry point; every one returns a ssize_t: a
-# count, -1 from slicethin_thin where its lists find no memory, or 0 from
-# slicethin_counts, which fills its out array instead.
+# count, -1 from the three that malloc their own lists or stack where those
+# find no memory, or 0 from slicethin_counts, which fills its out array instead.
 _ENTRY_POINTS = {
     # buf, ndim, shape, subs, ends, nphases
     "slicethin_thin": (ctypes.c_void_p, ctypes.c_int, _SHAPE,
                        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int),
-    # buf, rows, cols, tables, list
-    "slicethin_sweep": (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
-                        ctypes.c_void_p, ctypes.c_void_p),
-    # buf, ndim, shape, stack
-    "slicethin_components": (ctypes.c_void_p, ctypes.c_int, _SHAPE, ctypes.c_void_p),
+    # buf, rows, cols, tables
+    "slicethin_sweep": (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p),
+    # buf, ndim, shape
+    "slicethin_components": (ctypes.c_void_p, ctypes.c_int, _SHAPE),
     # input, skeleton, ndim, shape, counts
     "slicethin_counts": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int, _SHAPE, ctypes.c_void_p),
 }
@@ -80,10 +81,9 @@ def ints(values):
 
 
 def scratch(n):
-    """Room for ``n`` zeroed ``ssize_t`` entries, and one more, so that even
-    ``n = 0`` has an address: a kernel's stack, list or out array, for
-    ``pointer``."""
-    return bytearray((n + 1) * ctypes.sizeof(ctypes.c_ssize_t))
+    """Room for ``n`` zeroed ``ssize_t`` entries: ``slicethin_counts``'s out
+    array, for ``pointer``."""
+    return bytearray(n * ctypes.sizeof(ctypes.c_ssize_t))
 
 
 @lru_cache(maxsize=1)

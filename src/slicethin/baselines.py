@@ -30,7 +30,7 @@ same skeletons and iteration counts.
 from __future__ import annotations
 
 from . import _native
-from .pattern import DimensionError, _as_given, _padded, _scratch
+from .pattern import DimensionError, _as_given, _padded
 
 # (row, column) offsets of P2..P9.
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
@@ -83,10 +83,9 @@ def _thin(pattern, tables):
     if lib is None:
         iterations = _numpy_sweep(padded.array(), tables)
     else:
-        rows, cols = padded.shape
-        # The contour list: one entry per pattern cell at most.
-        scratch = _scratch((rows - 2) * (cols - 2), pattern)
-        iterations = lib.slicethin_sweep(padded.ptr, rows, cols, b"".join(tables), scratch)
+        iterations = lib.slicethin_sweep(padded.ptr, *padded.shape, b"".join(tables))
+        if iterations < 0:
+            raise MemoryError("no memory for the contour list of the ZS/GH driver")
     return _as_given(padded, pattern), iterations
 
 

@@ -15,12 +15,12 @@ comments, where there are any, are blanked out byte for byte, and one
 other byte to 2. A valid payload then has exactly as many bytes as cells and
 no 2. In NDBIN each bit must also be a whole token: ``read_pattern``
 checks that no two bits touch with numpy, which it builds its array with
-anyway; the CLI's reader, ``read_padded``, checks with bytes alone that
-every byte at an odd (or every byte at an even) offset is a blank, which
-holds for every file the writer emits. Only a file that fails a check is
-scanned again, with numpy, to locate its first fault, so a ``ParseError``
-names the byte offset that a token-by-token reader would; a valid NDBIN
-file laid out otherwise passes that scan.
+anyway; the CLI's reader, ``read_padded``, checks with bytes alone, first
+that every byte at an odd (or every byte at an even) offset is a blank,
+which holds for every file the writer emits, and only where that fails on a
+mask of the filled bytes. Both checks are exact. Only a file that fails one
+is scanned again, with numpy, to locate its first fault, so a
+``ParseError`` names the byte offset that a token-by-token reader would.
 
 ``read_pattern`` views the cells as a bool array; ``read_padded`` pads
 them with bytes operations instead, and ``write_pattern`` writes either
@@ -78,11 +78,17 @@ def _next_int(data, pos, what, minimum=1, maximum=None):
     return value, end
 
 
+# Maps the blanks to 0 and every other byte to 1.
+_FILLED = bytes(0 if b in _WS else 1 for b in range(256))
+
+
 def _spaced(text):
     """Whether no two bits of a payload that holds only blanks and bits
-    touch, by bytes alone: true where every byte at an even, or every byte at
-    an odd, offset is a blank, as in every file the writer emits."""
-    return text[::2].isspace() or text[1::2].isspace()
+    touch, by bytes alone: first whether every byte at an even, or every
+    byte at an odd, offset is a blank, as in every file the writer emits;
+    where neither is, whether no two filled bytes touch."""
+    return (text[::2].isspace() or text[1::2].isspace()
+            or b"\1\1" not in text.translate(_FILLED))
 
 
 def _spaced_numpy(text):
@@ -136,8 +142,7 @@ def _payload(data, pos, total, packed, spaced):
 
 def _locate_fault(data, text, pos, total, packed):
     """Raise the ``ParseError`` of the first fault of a payload that failed a
-    check, or return its bits: a valid NDBIN payload whose bits are not
-    evenly spaced ends here."""
+    check. Every check is exact, so only an invalid payload ends here."""
     import numpy as np
 
     # Add a blank at the end, so that every byte is followed by another.
@@ -156,9 +161,7 @@ def _locate_fault(data, text, pos, total, packed):
         raise ParseError(f"invalid bit in {text[i:].split(None, 1)[0]!r}", pos + int(i))
     if count > total:
         raise ParseError(f"more than the {total} bits declared", pos + int(at[total]))
-    if count < total:
-        raise ParseError(f"truncated data: got {count} of {total} bits", len(data))
-    return bytearray(bits)
+    raise ParseError(f"truncated data: got {count} of {total} bits", len(data))
 
 
 def _array(shape, bits):

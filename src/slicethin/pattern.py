@@ -10,8 +10,9 @@ none loads. A library call pads the array it is given with numpy
 (``_padded``); the CLI reads its files straight into a ``Padded`` and
 writes them from one (``_pad``, ``_unpad``), so that it imports no numpy.
 ``component_count`` runs ``slicethin_components``, a flood fill over the
-runs along the last axis, or ``_numpy_components``, which hooks the edges of
-one forward offset at a time; the two give the same counts.
+runs along the last axis that mallocs its own stack, or
+``_numpy_components``, which hooks the edges of one forward offset at a
+time; the two give the same counts, on an array or a ``Padded`` alike.
 
 numpy is imported where an array is built or taken, not at import.
 """
@@ -113,18 +114,6 @@ def _as_given(padded, pattern):
     return padded if isinstance(pattern, Padded) else padded.unpadded()
 
 
-def _scratch(n, pattern):
-    """A kernel's stack or list of ``n`` ``ssize_t`` entries, for a run on
-    ``pattern``: where the caller gave an array, an ``np.empty``, which
-    costs no zeroing and takes memory only as it is written; for a
-    ``Padded``, zeroed bytes, which need no numpy."""
-    if isinstance(pattern, Padded):
-        return _native.pointer(_native.scratch(n))
-    import numpy as np
-
-    return np.empty(n, np.intp).ctypes  # holds the array while it is passed
-
-
 def _relayout(data, lines, length, src, dst):
     """A new zeroed bytearray of ``lines * dst[1]`` bytes, into which line i
     of ``length`` bytes at ``src[0] + i * src[1]`` of ``data`` is copied to
@@ -169,23 +158,17 @@ def _unpad(padded: Padded) -> bytearray:
 
 
 def component_count(pattern) -> int:
-    """Count foreground components under (3^k - 1)-adjacency (8-connectivity in 2D)."""
+    """Count foreground components under (3^k - 1)-adjacency (8-connectivity in 2D).
+
+    Raises ``MemoryError`` where the C kernel cannot allocate its stack."""
     padded = _padded(pattern)
     lib = _native.load()
     if lib is None:
         return _numpy_components(padded.array())
-    # One stack entry per run. Every line starts with a padding zero, so
-    # the run starts of the flat buffer are those of its lines. An array in
-    # hand counts them with numpy; bytes.count is slower, but needs none.
-    if isinstance(pattern, Padded):
-        runs = padded.buf.count(b"\0\1")
-    else:
-        import numpy as np
-
-        flat = padded.array().ravel()
-        runs = int(np.count_nonzero(flat[1:] > flat[:-1]))
-    stack = _scratch(runs, pattern)
-    return lib.slicethin_components(padded.ptr, padded.ndim, padded.sizes, stack)
+    count = lib.slicethin_components(padded.ptr, padded.ndim, padded.sizes)
+    if count < 0:
+        raise MemoryError("no memory for the stack of the component count")
+    return count
 
 
 def _numpy_components(padded):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
+from slicethin import _native
 from slicethin.cli import _UsageError, build_parser, main
 from slicethin.formats import read_pattern, write_ndbin, write_pbm, write_pattern
 from slicethin.metrics import CSV_HEADER, UndefinedMetricError, evaluate
@@ -113,6 +114,30 @@ class TestThinCommand:
         main(["thin", "--algo", "nd", "--input", str(square7), "--output", str(out2), "--metrics"])
         assert capsys.readouterr().out == first
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("algo", ["nd", "zs", "gh"])
+    def test_unevenly_spaced_ndbin_without_numpy(self, monkeypatch, tmp_path, capsys, algo):
+        # A valid NDBIN file whose bits sit at odd and even offsets alike
+        # thins with numpy blocked, exactly as the writer's own file does.
+        if _native.load() is None:
+            pytest.skip("the twins import numpy")
+        arr = np.zeros((7, 9), bool)
+        arr[1:6, 1:8] = True
+        even = tmp_path / "even.ndbin"
+        write_pattern(even, arr)
+        uneven = tmp_path / "uneven.ndbin"
+        *head, body = even.read_bytes().split(b"\n", 3)
+        uneven.write_bytes(b"\n".join([*head, body.replace(b" ", b"  ", 5)]))
+        outputs = []
+        for path in (even, uneven):
+            out = tmp_path / f"sk-{path.stem}.ndbin"
+            with monkeypatch.context() as patch:
+                patch.setitem(sys.modules, "numpy", None)  # every import of numpy now fails
+                code = main(["thin", "--algo", algo, "--input", str(path),
+                             "--output", str(out), "--metrics"])
+            outputs.append((code, capsys.readouterr(), out.read_bytes()))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
 
 
 class TestCompareCommand:

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -212,10 +213,14 @@ class _Mallinfo2(ctypes.Structure):
 
 
 def test_thin_leaves_the_heap_flat():
-    # slicethin_thin mallocs its run lists and frees them before it returns:
-    # after a warm-up, repeated runs on a 40^3 sphere leave the bytes that
-    # glibc has handed out where they were. One list left unfreed grows it
-    # by at least 1,600 bytes a run.
+    # slicethin_thin, slicethin_sweep and slicethin_components malloc their
+    # lists or stack and free them before they return: after a warm-up,
+    # repeated calls on a 320^2 disc and a 40^3 sphere leave the bytes that
+    # glibc has handed out where they were. One list or stack left unfreed
+    # grows them by at least 1,600 bytes a call. The warm-up is 10 calls:
+    # where this test ran alone, the heap still grew by up to 1.4 KiB over
+    # the 4th to 9th two-phase thin, Python-side caches filling, and then
+    # stayed flat.
     if _native.load() is None:
         pytest.skip("no C kernel loads here")
     libc = ctypes.CDLL(None)
@@ -227,14 +232,34 @@ def test_thin_leaves_the_heap_flat():
         info = libc.mallinfo2()
         return info.uordblks + info.hblkhd
 
+    disc = generate(ShapeSpec("disc", (320, 320), {"radius": 150}))
     sphere = generate(ShapeSpec("sphere", (40, 40, 40), {"radius": 18}))
-    for schedule in (None, "2fb;1fb,0fb"):
-        for _ in range(3):
-            thin(sphere, schedule)
+    calls = {
+        "thin": lambda: thin(sphere),
+        "thin, two phases": lambda: thin(sphere, "2fb;1fb,0fb"),
+        "zs_thin": lambda: baselines.zs_thin(disc),
+        "gh_thin": lambda: baselines.gh_thin(disc),
+        "component_count, 2D": lambda: component_count(disc),
+        "component_count, 3D": lambda: component_count(sphere),
+    }
+    for name, call in calls.items():
+        for _ in range(10):
+            call()
         before = in_use()
         for _ in range(20):
-            thin(sphere, schedule)
-        assert in_use() - before < 1024, schedule
+            call()
+        assert in_use() - before < 1024, name
+
+
+@pytest.mark.parametrize("run", [thin, baselines.zs_thin, baselines.gh_thin, component_count],
+                         ids=lambda run: run.__name__)
+def test_failed_allocation_raises_memory_error(monkeypatch, run):
+    # Each kernel that mallocs its own lists or stack returns -1 where they
+    # find no memory, and its caller raises MemoryError.
+    failing = types.SimpleNamespace(**{name: lambda *args: -1 for name in _native._ENTRY_POINTS})
+    monkeypatch.setattr(_native, "load", lambda: failing)
+    with pytest.raises(MemoryError):
+        run(PATTERN_2D)
 
 
 def test_import_loads_no_kernel():
