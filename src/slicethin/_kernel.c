@@ -15,7 +15,10 @@
  *
  * slicethin_sweep: a whole Zhang-Suen or Guo-Hall run, the mark-then-sweep
  * loop of the numpy driver (baselines._numpy_sweep), coding only the pixels
- * of a contour list instead of every pixel of the image.
+ * of a contour list instead of every pixel of the image: the foreground
+ * pixels with a background edge neighbour, found a word at a time, and then
+ * the edge neighbours of the pixels deleted. Each sub-iteration moves its
+ * marked pixels to a list of their own without a branch.
  *
  * slicethin_components: the number of (3^k - 1)-connected foreground
  * components, by a flood fill over the runs along the last axis.
@@ -329,80 +332,92 @@ done:
     return iterations;
 }
 
+/* The eight cells from p on, a byte each, as one word. */
+static uint64_t word(const unsigned char *p)
+{
+    uint64_t w;
+    memcpy(&w, p, sizeof w);
+    return w;
+}
+
 /* The bits of a sweep's buffer cell. */
 #define FG 1     /* foreground */
 #define LISTED 2 /* in the contour list */
-#define MARKED 4 /* deletable in this sub-iteration */
 
 /* buf is the padded rows x cols pattern; tables holds the two
  * sub-iterations' 256-entry deletability tables, indexed by the code of
  * P2..P9 (bit i is P(i+2)). Returns the number of iterations, the last one
- * deleting nothing, or -1 where the list finds no memory; buf holds the
+ * deleting nothing, or -1 where the lists find no memory; buf holds the
  * skeleton, again as 0 or 1.
  *
- * The list, malloced for one flat index per pattern cell and one more (a
- * pattern may have none), holds every foreground pixel with a background
- * 8-neighbour, and maybe more: a pixel with 8 foreground neighbours has
- * BP = 8 for ZS and CP = 0 for GH, so neither rule can delete it. A
- * sub-iteration marks the listed pixels whose code, read from the FG bits
- * alone, hits the table, so every code sees the frozen image; then it
- * deletes the marked pixels. The next list is the unmarked pixels of this
- * one plus the foreground neighbours of the deleted ones, which the LISTED
- * bit keeps from being listed twice. Those neighbours are foreground pixels
- * not yet listed, so they fit in list after the current entries. */
+ * Neither rule deletes a pixel whose edge neighbours P2, P4, P6 and P8 are
+ * all foreground: ZS needs AP = 1, which leaves one background corner and
+ * BP = 7, and GH needs CP = 1, which needs a background edge neighbour. So
+ * the contour list holds every foreground pixel with a background edge
+ * neighbour, and maybe more. It is seeded eight cells at a time: a word of
+ * cells with no such pixel (its own cells AND NOT the AND of the four
+ * neighbouring words, tested only for zero) lists none, and only the other
+ * words and the last few cells are tested one cell at a time.
+ *
+ * A sub-iteration codes each listed pixel from the FG bits at fixed offsets
+ * off the rows above (u), at (v) and below (w) it, so every code sees the
+ * frozen image, and, without a branch on the table's answer, keeps the
+ * pixel in place in the list or appends it to the marked list. Then it
+ * deletes each marked pixel and appends its foreground edge neighbours not
+ * yet listed, which the LISTED bit keeps from being listed twice, after the
+ * kept entries: a pixel gains a background edge neighbour only where one is
+ * deleted. The contour list holds distinct foreground pixels and the marked
+ * list some of them, so one malloc of one flat index per pattern cell for
+ * each, and one more (a pattern may have none), holds both. */
 ptrdiff_t slicethin_sweep(unsigned char *buf, ptrdiff_t rows, ptrdiff_t cols,
                           const unsigned char *tables)
 {
-    /* P2..P9: north, then clockwise. */
-    const ptrdiff_t ring[8] = {-cols, 1 - cols, 1, cols + 1, cols, cols - 1, -1, -cols - 1};
+    const ptrdiff_t edge[4] = {-cols, 1, cols, -1}; /* P2, P4, P6, P8 */
+    ptrdiff_t cells = (rows - 2) * (cols - 2), end = (rows - 1) * cols - 1;
     ptrdiff_t n = 0, iterations = 0, r;
     int changed = 1, k;
-    ptrdiff_t *list = malloc((size_t)((rows - 2) * (cols - 2) + 1) * sizeof *list);
+    ptrdiff_t *list = malloc((size_t)(2 * cells + 1) * sizeof *list), *marked;
     if (!list)
         return -1;
+    marked = list + cells;
     /* Only interior cells can be foreground, so their neighbours are in bounds. */
-    for (ptrdiff_t i = cols + 1; i < (rows - 1) * cols - 1; i++)
-        if (buf[i])
-            for (k = 0; k < 8; k++)
-                if (!buf[i + ring[k]]) {
-                    buf[i] |= LISTED;
-                    list[n++] = i;
-                    break;
-                }
+    for (ptrdiff_t i = cols + 1, stop; i < end; i = stop) {
+        const unsigned char *u = buf + i - cols, *v = buf + i, *w = buf + i + cols;
+        stop = end - i < 8 ? end : i + 8;
+        if (stop - i == 8 && !(word(v) & ~(word(u) & word(v - 1) & word(v + 1) & word(w))))
+            continue;
+        for (; i < stop; i++, u++, v++, w++)
+            if (*v && !(u[0] & v[-1] & v[1] & w[0])) {
+                buf[i] = FG | LISTED;
+                list[n++] = i;
+            }
+    }
     while (changed) {
         iterations++;
         changed = 0;
         for (const unsigned char *table = tables; table < tables + 512; table += 256) {
-            ptrdiff_t kept = 0, added = 0;
-            int marked = 0;
+            ptrdiff_t kept = 0, m = 0;
             for (r = 0; r < n; r++) {
-                ptrdiff_t i = list[r];
-                unsigned code = 0;
-                for (k = 0; k < 8; k++)
-                    code |= (unsigned)(buf[i + ring[k]] & FG) << k;
-                if (table[code]) {
-                    buf[i] |= MARKED;
-                    marked = 1;
-                }
+                const unsigned char *u = buf + list[r] - cols, *v = u + cols, *w = v + cols;
+                /* bit j is P(j+2): north, then clockwise */
+                ptrdiff_t t = table[(u[0] & FG) | (u[1] & FG) << 1 | (v[1] & FG) << 2 |
+                                    (w[1] & FG) << 3 | (w[0] & FG) << 4 | (w[-1] & FG) << 5 |
+                                    (v[-1] & FG) << 6 | (u[-1] & FG) << 7];
+                marked[m] = list[r];
+                m += t;
+                list[kept] = list[r];
+                kept += !t;
             }
-            if (!marked)
+            if (!m)
                 continue;
             changed = 1;
-            for (r = 0; r < n; r++) {
-                ptrdiff_t i = list[r];
-                if (!(buf[i] & MARKED)) {
-                    list[kept++] = i;
-                    continue;
-                }
-                buf[i] = 0;
-                for (k = 0; k < 8; k++)
-                    if (buf[i + ring[k]] == FG) {
-                        buf[i + ring[k]] = FG | LISTED;
-                        list[n + added++] = i + ring[k];
+            for (r = 0; r < m; r++)
+                for (buf[marked[r]] = 0, k = 0; k < 4; k++)
+                    if (buf[marked[r] + edge[k]] == FG) {
+                        buf[marked[r] + edge[k]] = FG | LISTED;
+                        list[kept++] = marked[r] + edge[k];
                     }
-            }
-            memmove(list + kept, list + n, (size_t)added * sizeof *list);
-            n = kept + added;
+            n = kept;
         }
     }
     for (r = 0; r < n; r++)
@@ -427,10 +442,11 @@ static ptrdiff_t visit(unsigned char *buf, ptrdiff_t j)
  * foreground components, or -1 where the stack finds no memory; buf is left
  * with 2 on every foreground cell.
  *
- * A fill starts at each unvisited foreground cell, in index order. A run is
- * marked visited when it is pushed, so it is pushed once. Cells l - 1 .. r + 1
- * of each of the 3^(k-1) - 1 neighbouring lines hold every cell adjacent to
- * the run [l, r] there, so popping it pushes the unvisited runs among them.
+ * A fill starts at each unvisited foreground cell, in index order: memchr
+ * finds the next 1, as visited cells are 2. A run is marked visited when it
+ * is pushed, so it is pushed once. Cells l - 1 .. r + 1 of each of the
+ * 3^(k-1) - 1 neighbouring lines hold every cell adjacent to the run [l, r]
+ * there, so popping it pushes the unvisited runs among them.
  * The stack, malloced and freed here, holds one run start per entry; the
  * padding ends every run, so size / 2 + 1 entries bound the runs. */
 ptrdiff_t slicethin_components(unsigned char *buf, int ndim, const ptrdiff_t *shape)
@@ -462,12 +478,10 @@ ptrdiff_t slicethin_components(unsigned char *buf, int ndim, const ptrdiff_t *sh
     stack = malloc((size_t)(size / 2 + 1) * sizeof *stack);
     if (!stack)
         return -1;
-    for (ptrdiff_t i = 0; i < size; i++) {
-        if (buf[i] != 1)
-            continue;
+    for (unsigned char *p = buf; (p = memchr(p, 1, (size_t)(buf + size - p))) != NULL; p++) {
         ptrdiff_t top = 0;
         count++;
-        stack[top++] = visit(buf, i);
+        stack[top++] = visit(buf, p - buf);
         while (top) {
             ptrdiff_t l = stack[--top], r = l;
             while (buf[r + 1])
@@ -480,14 +494,6 @@ ptrdiff_t slicethin_components(unsigned char *buf, int ndim, const ptrdiff_t *sh
     }
     free(stack);
     return count;
-}
-
-/* The eight cells from p on, a byte each, as one word. */
-static uint64_t word(const unsigned char *p)
-{
-    uint64_t w;
-    memcpy(&w, p, sizeof w);
-    return w;
 }
 
 /* Lane by lane, 1 where a skeleton cell c is the corner of an

@@ -18,13 +18,16 @@ from the rules).
 One driver applies the tables, in place on the buffer of ``pattern._padded``.
 It runs in C (``slicethin_sweep`` of the library that ``_native.load`` gives
 on the first call) wherever a library loads, coding only the pixels of a
-contour list: at first every foreground pixel with a background 8-neighbor,
-then the pixels of the last list that are still foreground plus the
-foreground neighbors of the pixels just deleted. A pixel whose 8 neighbors
-are all foreground never needs listing: it has BP = 8 for ZS and CP = 0 for
-GH, so neither rule deletes it. Only where no library loads,
-``_numpy_sweep`` codes every pixel on every sub-iteration; the two give the
-same skeletons and iteration counts.
+contour list: at first every foreground pixel with a background edge
+neighbor (P2, P4, P6 or P8), found eight cells to a word, then the pixels of
+the last list that were not deleted plus the foreground edge neighbors of
+the pixels just deleted. A pixel whose four edge neighbors are all
+foreground never needs listing: neither table deletes it (ZS needs AP = 1,
+which leaves BP = 7, and GH needs CP = 1). Each sub-iteration codes the
+listed pixels, then moves the marked ones to a list of their own and
+deletes them. Only where no library loads, ``_numpy_sweep`` codes every
+pixel on every sub-iteration; the two give the same skeletons and
+iteration counts.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ serialize it as ``NA``.
 
 Every metric is a ratio of counts that ``_counts`` takes in one pass over
 the padded input and skeleton: ``slicethin_counts`` in C wherever a library
-loads, ``_numpy_counts`` only where none loads.
+loads, ``_numpy_counts`` only where none loads. ``component_delta`` counts
+the components of the same two ``Padded``, so ``evaluate`` pads each
+pattern once.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def evaluate(input_pattern, skeleton, iterations: int) -> MetricsReport:
         s_r=_ratio(area_input, area_skeleton),
         m_t=m_t,
         n=int(iterations),
-        component_delta=component_count(skeleton) - component_count(input_pattern),
+        component_delta=component_count(sk) - component_count(inp),
         area_input=area_input,
         area_skeleton=area_skeleton,
     )

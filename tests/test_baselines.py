@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
-from slicethin import baselines
+from slicethin import _native, baselines
 from slicethin.baselines import gh_thin, zs_thin
 from slicethin.pattern import DimensionError, _padded
 
@@ -183,6 +183,15 @@ def test_table_literals_match_rules(tables, rule):
 
 
 RULES = {"zs": (zs_thin, zs_oracle), "gh": (gh_thin, gh_oracle)}
+TABLES = {"zs": baselines._ZS_TABLES, "gh": baselines._GH_TABLES}
+
+
+@pytest.mark.parametrize("rule", sorted(TABLES))
+def test_tables_keep_pixels_with_foreground_edges(rule):
+    # The C sweep lists only pixels with a background edge neighbour (P2, P4,
+    # P6 or P8), so no entry may delete a pixel whose four are foreground.
+    edges = 0b01010101
+    assert not any(t[code] for t in TABLES[rule] for code in range(256) if code & edges == edges)
 
 # TestDriverDifferentialNumpy runs these tests again from a subclass, which
 # Hypothesis sees as a second executor; both drivers must pass the same
@@ -244,6 +253,13 @@ class TestDriverDifferentialNumpy(TestDriverDifferential):
     """The differential tests under the numpy driver, where the plain run used C."""
 
 
+def numpy_twin(rule, pattern):
+    """The numpy driver's skeleton and iterations, whichever backend loads."""
+    padded = _padded(pattern).array()
+    iterations = baselines._numpy_sweep(padded, TABLES[rule])
+    return padded[1:-1, 1:-1].view(bool), iterations
+
+
 @pytest.mark.parametrize("rule", sorted(RULES))
 def test_thick_shapes_match_numpy(rule):
     """Solid and holed shapes whose contour moves far, too large for the
@@ -251,9 +267,62 @@ def test_thick_shapes_match_numpy(rule):
     yy, xx = np.mgrid[:90, :120]
     disc = (yy - 45) ** 2 + (xx - 60) ** 2 < 40**2
     ring = disc & ((yy - 45) ** 2 + (xx - 60) ** 2 >= 12**2)
-    tables = baselines._ZS_TABLES if rule == "zs" else baselines._GH_TABLES
     for pattern in (disc, ring, np.pad(np.ones((60, 70), bool), 3)):
         sk, it = RULES[rule][0](pattern)
-        padded = _padded(pattern).array()
-        expected_it = baselines._numpy_sweep(padded, tables)
-        assert np.array_equal(sk, padded[1:-1, 1:-1]) and it == expected_it
+        expected, iterations = numpy_twin(rule, pattern)
+        assert np.array_equal(sk, expected) and it == iterations
+
+
+@pytest.fixture
+def c_kernel():
+    """Skips where no C kernel loads: ``zs_thin`` and ``gh_thin`` would then
+    run the numpy driver, and the test would compare it with itself."""
+    if _native.load() is None:
+        pytest.skip("no C kernel loads here")
+
+
+def census_image():
+    """Every 4 x 4 pattern (bit j of pattern p is cell (j // 4, j % 4)) as a
+    tile of one 1536 x 1536 image, 256 tiles a side, with 2 background cells
+    after each tile along both axes."""
+    bits = (np.arange(1 << 16)[:, None] >> np.arange(16) & 1).astype(bool)
+    image = np.zeros((256, 6, 256, 6), bool)
+    image[:, :4, :, :4] = bits.reshape(256, 256, 4, 4).transpose(0, 2, 1, 3)
+    return image.reshape(1536, 1536)
+
+
+@pytest.mark.usefixtures("c_kernel")
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_census_of_every_4x4_pattern_matches_numpy(rule):
+    """The C sweep on every 4 x 4 pattern at once, shifted right by 0 to 7
+    columns so that the tiles meet every byte lane of the seeding's words."""
+    image = census_image()
+    expected, iterations = numpy_twin(rule, image)
+    for shift in range(8):
+        sk, it = RULES[rule][0](np.pad(image, ((0, 0), (shift, 0))))
+        assert np.array_equal(sk[:, shift:], expected) and not sk[:, :shift].any(), shift
+        assert it == iterations, shift
+
+
+def edge_patterns():
+    """Patterns of every width mod 8 around one and eight words: all
+    foreground, and of density 0.9 with a foreground cell on each border."""
+    rng = np.random.default_rng(27)
+    for width in (*range(1, 18), 63, 64, 65):
+        for height in (1, 2, 3, 6, 11):
+            yield np.ones((height, width), bool)
+            pattern = rng.random((height, width)) < 0.9
+            pattern[0, rng.integers(width)] = pattern[-1, rng.integers(width)] = True
+            pattern[rng.integers(height), 0] = pattern[rng.integers(height), -1] = True
+            yield pattern
+
+
+@pytest.mark.usefixtures("c_kernel")
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_word_edges_match_numpy(rule):
+    """Dense patterns whose rows end in every lane of a word: the seeding's
+    word test and its per-cell tail against the numpy driver."""
+    for pattern in edge_patterns():
+        sk, it = RULES[rule][0](pattern)
+        expected, iterations = numpy_twin(rule, pattern)
+        assert np.array_equal(sk, expected) and it == iterations, pattern.shape
