@@ -25,12 +25,22 @@ is scanned again, with numpy, to locate its first fault, so a
 ``read_pattern`` views the cells as a bool array; ``read_padded`` pads
 them with bytes operations instead, and ``write_pattern`` writes either
 form, so that the CLI imports no numpy.
+
+``write_pattern`` overwrites a file in place and then cuts it to the written
+length, where it is a regular file; it never opens with ``O_TRUNC``. On ext4,
+truncating a file that holds data to zero and writing it again makes the
+kernel flush the new data at close (``auto_da_alloc``), which made a 205 KB
+rewrite about 14 times slower. A write that fails midway leaves the file
+partly rewritten, as a truncating write left it partly written; neither
+calls ``fsync``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
+import stat
 from pathlib import Path
 
 from .pattern import _MAX_CELLS, _MAX_DIMS, Padded, _pad, _unpad, as_pattern
@@ -254,6 +264,8 @@ def read_padded(path) -> Padded:
 
 
 _WRITERS = {".pbm": write_pbm, ".ndbin": write_ndbin}
+# As open(path, "wb") opens, without O_TRUNC: see the module docstring.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 def write_pattern(path, pattern) -> None:
@@ -262,4 +274,14 @@ def write_pattern(path, pattern) -> None:
     write = _WRITERS.get(path.suffix.lower())
     if write is None:
         raise FormatError(f"cannot infer format from {path.name!r}; use .pbm or .ndbin")
-    path.write_bytes(write(pattern))
+    data = write(pattern)
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        # ftruncate fails on /dev/null, a FIFO or a tty.
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import os
 import random
 import sys
 import tempfile
@@ -274,6 +275,51 @@ class TestGenCommand:
         code = main(["gen", "--shape", "blob", "--grid", "7x7",
                      "--output", str(tmp_path / "s.pbm")])
         assert code == 2
+
+
+class TestOutputRewrite:
+    """An --output that already exists is rewritten in place, then cut to length."""
+
+    @pytest.mark.parametrize("algo", ["nd", "zs", "gh"])
+    def test_thin_over_a_longer_file(self, square7, tmp_path, algo):
+        fresh, old = tmp_path / "fresh.pbm", tmp_path / "old.pbm"
+        write_pattern(old, np.ones((40, 40), bool))
+        for out in (fresh, old):
+            argv = ["thin", "--algo", algo, "--input", str(square7), "--output", str(out)]
+            assert main(argv) == 0
+        assert old.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("shape, name", [
+        (["square", "--side", "5", "--grid", "13x13"], "s.pbm"),
+        (["sphere", "--radius", "2", "--grid", "7x7x7"], "s.ndbin"),
+    ])
+    def test_gen_over_a_longer_file(self, tmp_path, shape, name):
+        fresh, old = tmp_path / "fresh" / name, tmp_path / name
+        fresh.parent.mkdir()
+        old.write_bytes(b"#" * 10_000)
+        for out in (fresh, old):
+            assert main(["gen", "--shape", *shape, "--output", str(out)]) == 0
+        assert old.read_bytes() == fresh.read_bytes()
+
+    def test_thin_in_place(self, tmp_path):
+        src, out = tmp_path / "a.pbm", tmp_path / "sk.pbm"
+        write_pattern(src, np.ones((9, 9), bool))
+        assert main(["thin", "--algo", "gh", "--input", str(src), "--output", str(out)]) == 0
+        assert main(["thin", "--algo", "gh", "--input", str(src), "--output", str(src)]) == 0
+        assert src.read_bytes() == out.read_bytes()
+
+    @pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+                        reason="needs /dev/full and /proc/self/fd")
+    def test_full_device_is_one_error_line(self, square7, tmp_path, capsys):
+        out = tmp_path / "full.pbm"
+        out.symlink_to("/dev/full")
+        open_fds = len(os.listdir("/proc/self/fd"))
+        for argv in (["thin", "--algo", "nd", "--input", str(square7)],
+                     ["gen", "--shape", "square", "--side", "3", "--grid", "5x5"]):
+            assert main(argv + ["--output", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: [Errno 28] ") and err.count("\n") == 1
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 # ---------------------------------------------------------------- gen without numpy

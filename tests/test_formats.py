@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -397,3 +399,72 @@ class TestPathDispatch:
         assert (tmp_path / "x.PBM").read_bytes() == write_pbm(np.eye(2, dtype=bool))
         write_pattern(tmp_path / "x.NdBin", np.eye(2, dtype=bool))
         assert (tmp_path / "x.NdBin").read_bytes() == write_ndbin(np.eye(2, dtype=bool))
+
+
+def _disc(n):
+    yy, xx = np.mgrid[:n, :n] - (n - 1) / 2
+    return yy * yy + xx * xx <= (n / 2 - 1) ** 2
+
+
+class TestRewrite:
+    """``write_pattern`` overwrites a file in place, then cuts it to length."""
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["array", "padded"])
+    @pytest.mark.parametrize("name, write", [("a.pbm", write_pbm), ("a.ndbin", write_ndbin)])
+    @pytest.mark.parametrize("old, new", [(41, 13), (13, 41)], ids=["shrink", "grow"])
+    def test_rewrite_holds_exactly_the_new_bytes(self, tmp_path, name, write, padded, old, new):
+        path = tmp_path / name
+        write_pattern(path, _disc(old))
+        pattern = _padded(_disc(new)) if padded else _disc(new)
+        write_pattern(path, pattern)
+        assert path.read_bytes() == write(_disc(new))
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+    def test_new_file_mode_as_write_bytes(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_pattern(tmp_path / "a.pbm", np.eye(3, dtype=bool))
+            (tmp_path / "b.pbm").write_bytes(b"")
+        finally:
+            os.umask(old)
+        modes = [(tmp_path / name).stat().st_mode & 0o777 for name in ("a.pbm", "b.pbm")]
+        assert modes == [0o666 & ~0o027] * 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_symlink_to_dev_null(self, tmp_path):
+        # ftruncate fails on a character device; write_bytes took it.
+        (tmp_path / "a.pbm").symlink_to("/dev/null")
+        write_pattern(tmp_path / "a.pbm", np.eye(3, dtype=bool))
+        assert (tmp_path / "a.pbm").is_symlink()
+
+    @pytest.mark.parametrize(
+        "pattern, error",
+        [
+            (np.zeros((2, 2, 2), bool), FormatError),
+            (np.zeros((0, 3), bool), FormatError),
+            (np.zeros(3, bool), DimensionError),
+        ],
+        ids=["3d", "zero-axis", "1d"],
+    )
+    def test_error_leaves_the_file_alone(self, tmp_path, pattern, error):
+        path = tmp_path / "a.pbm"
+        write_pattern(path, _disc(13))
+        before = path.read_bytes()
+        with pytest.raises(error):
+            write_pattern(path, pattern)
+        assert path.read_bytes() == before and path.stat().st_size == len(before)
+
+    def test_never_opens_with_o_trunc(self, tmp_path, monkeypatch):
+        # On ext4, O_TRUNC on a file that holds data flushes it at close.
+        calls = []
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            calls.append(flags)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(formats.os, "open", spy)
+        for name in ("a.pbm", "a.ndbin"):
+            for size in (41, 13):
+                write_pattern(tmp_path / name, _disc(size))
+        assert len(calls) == 4 and not any(flags & os.O_TRUNC for flags in calls)
