@@ -241,8 +241,9 @@ class TestGenCommand:
                      "--grid", "7x7", "--output", str(tmp_path / "s.pbm")])
         assert code == 1
 
-    # int() takes the last three; a grid takes ASCII digits only.
-    @pytest.mark.parametrize("grid", ["7by7", "1_0x5", "+7x7", "٧x٧"])
+    # int() takes "1_0", "+7" and "٧"; a grid takes ASCII digits only, at
+    # least two of them, none zero.
+    @pytest.mark.parametrize("grid", ["7by7", "1_0x5", "+7x7", "٧x٧", "7", "0x7"])
     def test_bad_grid(self, tmp_path, capsys, grid):
         out = tmp_path / "s.pbm"
         code = main(["gen", "--shape", "square", "--side", "3",

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -128,9 +129,15 @@ class TestNdbin:
             assert exc.value.offset == offset
 
     def test_bad_size_token(self):
-        with pytest.raises(ParseError) as exc:
-            read_ndbin(b"NDBIN\n2\n1 1_0\n" + b"0 " * 10)
-        assert exc.value.offset == 10
+        cases = [b"NDBIN\n2\n1 1_0\n" + b"0 " * 10]
+        # Digits only, but more than int() converts (where int() has a limit).
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit:
+            cases.append(b"NDBIN 2 1 " + b"9" * (limit + 1) + b" 0")
+        for raw in cases:
+            with pytest.raises(ParseError, match="bad size") as exc:
+                read_ndbin(raw)
+            assert exc.value.offset == 10
 
     def test_size_product_does_not_wrap(self, tmp_path):
         # 2^32 * 2^32 wraps to 0 in int64 and would pass the size guard.

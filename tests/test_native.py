@@ -12,7 +12,8 @@ import types
 import numpy as np
 import pytest
 
-from slicethin import _native, baselines, pattern, thinning
+import slicethin
+from slicethin import _native, baselines, formats, metrics, pattern, shapes, thinning
 from slicethin.metrics import evaluate
 from slicethin.pattern import _MAX_DIMS, component_count
 from slicethin.shapes import ShapeSpec, generate
@@ -276,6 +277,37 @@ def test_import_loads_no_kernel():
         assert loaded == "0", module
         for heavy in ("numpy", "scipy", "subprocess", "hashlib", "dataclasses", "inspect"):
             assert heavy not in added, (module, heavy)
+
+
+# Each public name and the module that owns it.
+PUBLIC_API = {
+    "MetricsReport": metrics, "RuggedSpec": shapes, "ShapeSpec": shapes,
+    "as_pattern": pattern, "component_count": pattern, "evaluate": metrics,
+    "export_voxels_csv": formats, "generate": shapes, "gh_thin": baselines,
+    "read_pattern": formats, "ruggedize": shapes, "thin": thinning,
+    "write_pattern": formats, "zs_thin": baselines,
+}
+
+
+def test_public_api():
+    assert slicethin.__all__ == sorted(PUBLIC_API)
+    for name, owner in PUBLIC_API.items():
+        assert getattr(slicethin, name) is getattr(owner, name), name
+    namespace = {}
+    exec("from slicethin import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(PUBLIC_API)
+    with pytest.raises(AttributeError):
+        slicethin.no_such_name  # noqa: B018
+
+
+def test_import_binds_api_without_numpy():
+    loaded, *bound = run_python(
+        'import sys; sys.modules["numpy"] = None; import slicethin; from slicethin import _native; '
+        "print(_native.load.cache_info().currsize, "
+        "*(name for name in slicethin.__all__ if name in vars(slicethin)))"
+    )
+    assert loaded == "0"
+    assert bound == sorted(PUBLIC_API)
 
 
 # Runs every CLI command on a disc and an annulus in the working directory,

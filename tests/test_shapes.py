@@ -105,6 +105,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(spec("sphere", (7, 7), radius=2))
 
+    @pytest.mark.parametrize("grid", [(0, 7), (7, 0), (-1, 7)])
+    def test_nonpositive_grid_axis(self, grid):
+        with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            generate(spec("square", grid, side=3))
+
     def test_oversized_grid(self):
         # The file readers' cell cap, checked before any array is allocated.
         with pytest.raises(ValueError, match="more than"):
