@@ -1,6 +1,7 @@
-/* The C kernels of slicethin, loaded by _native. Each works in place on the
- * zero-padded C-order buffer of pattern._padded, one byte of 0 or 1 a cell,
- * and has a Python or numpy twin that runs only where no library loads.
+/* The C kernels of slicethin, loaded by _native. Each has a Python or numpy
+ * twin that runs only where no library loads, and each but the two of the
+ * file codec works in place on the zero-padded C-order buffer of
+ * pattern._padded, one byte of 0 or 1 a cell.
  *
  * slicethin_thin: a whole nd run, every phase of the schedule to
  * convergence, with the scan and the plane test of the Python kernel
@@ -21,12 +22,17 @@
  * marked pixels to a list of their own without a branch.
  *
  * slicethin_components: the number of (3^k - 1)-connected foreground
- * components, by a flood fill over the runs along the last axis.
+ * components, by a flood fill over the runs along the last axis, which
+ * memchr finds and memset marks.
  *
  * slicethin_counts: what the metrics count of an input and its skeleton, in
  * one pass over both, eight cells to a word and without a branch on a cell:
  * the areas, the skeleton cells outside the input and the 2x2-covered
  * skeleton cells (metrics._numpy_counts).
+ *
+ * slicethin_decode and slicethin_encode: the cells of a pattern file's
+ * payload, read 16 bytes at a time where it takes the writers' layout, and
+ * written four cells to an 8-byte store (the bytes path of formats).
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -426,15 +432,35 @@ ptrdiff_t slicethin_sweep(unsigned char *buf, ptrdiff_t rows, ptrdiff_t cols,
     return iterations;
 }
 
-/* The run through the unvisited foreground cell j: marks it visited (2)
- * and returns its start. */
-static ptrdiff_t visit(unsigned char *buf, ptrdiff_t j)
+/* The cell just past the run through p, which memchr finds before limit,
+ * as the padding ends every run; no call where p ends its run, as in a run
+ * of one cell, common in a skeleton or a sparse pattern. */
+static unsigned char *run_end(unsigned char *p, const unsigned char *limit)
 {
-    ptrdiff_t start = j;
-    while (buf[start - 1])
+    return p[1] ? memchr(p + 2, 0, (size_t)(limit - p - 2)) : p + 1;
+}
+
+/* The first unvisited foreground cell in [p, stop), or NULL: byte by byte
+ * in a window of a few cells, for which a call to memchr costs more. */
+static unsigned char *unvisited(unsigned char *p, const unsigned char *stop)
+{
+    if (stop - p > 8)
+        return memchr(p, 1, (size_t)(stop - p));
+    for (; p < stop; p++)
+        if (*p == 1)
+            return p;
+    return NULL;
+}
+
+/* The run through the unvisited foreground cell at p: marks it visited (2)
+ * and returns its start; *end gets the cell just past it. */
+static unsigned char *visit(unsigned char *p, const unsigned char *limit, unsigned char **end)
+{
+    unsigned char *start = p;
+    while (start[-1])
         start--;
-    for (j = start; buf[j]; j++)
-        buf[j] = 2;
+    *end = run_end(p, limit);
+    memset(start, 2, (size_t)(*end - start));
     return start;
 }
 
@@ -443,15 +469,18 @@ static ptrdiff_t visit(unsigned char *buf, ptrdiff_t j)
  * with 2 on every foreground cell.
  *
  * A fill starts at each unvisited foreground cell, in index order: memchr
- * finds the next 1, as visited cells are 2. A run is marked visited when it
- * is pushed, so it is pushed once. Cells l - 1 .. r + 1 of each of the
- * 3^(k-1) - 1 neighbouring lines hold every cell adjacent to the run [l, r]
- * there, so popping it pushes the unvisited runs among them.
- * The stack, malloced and freed here, holds one run start per entry; the
- * padding ends every run, so size / 2 + 1 entries bound the runs. */
+ * finds the next 1, as visited cells are 2. A run is marked visited, by one
+ * memset, when it is pushed, so it is pushed once. Cells l - 1 .. r + 1 of
+ * each of the 3^(k-1) - 1 neighbouring lines hold every cell adjacent to
+ * the run [l, r] there, so popping it pushes the unvisited runs among them,
+ * which memchr finds where the window is longer than 8 cells, each search
+ * starting again past the run it found. memchr also finds the end of each
+ * run. The stack, malloced and freed here, holds one run start per entry;
+ * the padding ends every run, so size / 2 + 1 entries bound the runs. */
 ptrdiff_t slicethin_components(unsigned char *buf, int ndim, const ptrdiff_t *shape)
 {
-    ptrdiff_t strides[MAX_DIMS], lines[MAX_PLANE], size = 1, n, count = 0, *stack;
+    ptrdiff_t strides[MAX_DIMS], lines[MAX_PLANE], size = 1, n, count = 0, top;
+    unsigned char **stack, *limit, *end;
     int d;
     if (ndim > MAX_DIMS) /* the arrays above are sized for MAX_DIMS */
         return -1;
@@ -478,18 +507,20 @@ ptrdiff_t slicethin_components(unsigned char *buf, int ndim, const ptrdiff_t *sh
     stack = malloc((size_t)(size / 2 + 1) * sizeof *stack);
     if (!stack)
         return -1;
-    for (unsigned char *p = buf; (p = memchr(p, 1, (size_t)(buf + size - p))) != NULL; p++) {
-        ptrdiff_t top = 0;
+    limit = buf + size;
+    for (unsigned char *p = buf; (p = memchr(p, 1, (size_t)(limit - p))) != NULL; p = end) {
         count++;
-        stack[top++] = visit(buf, p - buf);
+        top = 0;
+        stack[top++] = visit(p, limit, &end);
         while (top) {
-            ptrdiff_t l = stack[--top], r = l;
-            while (buf[r + 1])
-                r++;
-            for (ptrdiff_t j = 0; j < n; j++)
-                for (ptrdiff_t c = l - 1 + lines[j]; c <= r + 1 + lines[j]; c++)
-                    if (buf[c] == 1)
-                        stack[top++] = visit(buf, c);
+            unsigned char *l = stack[--top], *r = run_end(l, limit);
+            for (ptrdiff_t j = 0; j < n; j++) {
+                unsigned char *q = l - 1 + lines[j], *stop = r + 1 + lines[j], *past;
+                while ((q = unvisited(q, stop)) != NULL) {
+                    stack[top++] = visit(q, limit, &past);
+                    q = past;
+                }
+            }
         }
     }
     free(stack);
@@ -520,10 +551,12 @@ static void add_lanes(uint64_t *lanes, ptrdiff_t *counts)
 /* input and skeleton are padded buffers of one shape. Fills counts with the
  * input's area, the skeleton's area, the skeleton cells outside the input
  * and, in 2D, the covered skeleton cells (0 for k > 2); returns 0. No
- * branch depends on a cell: the counts are taken eight cells at a time, as
- * the byte lanes of a word, each lane added up before it could pass 255,
- * and then the last few cells one at a time. The first and the last
- * cols + 1 cells are padding, so every neighbour read is in bounds. */
+ * branch depends on one cell: the counts are taken eight cells at a time,
+ * as the byte lanes of a word, each lane added up before it could pass 255,
+ * and then the last few cells one at a time. Only a skeleton word with a
+ * foreground cell reads the eight words around it for the cover test. The
+ * first and the last cols + 1 cells are padding, so every neighbour read is
+ * in bounds. */
 ptrdiff_t slicethin_counts(const unsigned char *input, const unsigned char *skeleton, int ndim,
                            const ptrdiff_t *shape, ptrdiff_t *counts)
 {
@@ -542,7 +575,7 @@ ptrdiff_t slicethin_counts(const unsigned char *input, const unsigned char *skel
             lanes[0] += in;
             lanes[1] += sk;
             lanes[2] += sk & ~in;
-            if (ndim == 2)
+            if (ndim == 2 && sk) /* a word of background covers nothing */
                 lanes[3] += covered(word(p - cols - 1), word(p - cols), word(p - cols + 1),
                                     word(p - 1), sk, word(p + 1),
                                     word(p + cols - 1), word(p + cols), word(p + cols + 1));
@@ -559,4 +592,138 @@ ptrdiff_t slicethin_counts(const unsigned char *input, const unsigned char *skel
                                             p[1], p[cols - 1], p[cols], p[cols + 1]);
     }
     return 0;
+}
+
+/* 1 where a word holds its lowest byte first, as the word steps of the
+ * codec below assume; elsewhere they are skipped. gcc folds it to a constant. */
+static int little_endian(void)
+{
+    const uint16_t one = 1;
+    unsigned char low;
+    memcpy(&low, &one, 1);
+    return low;
+}
+
+/* "0 0 0 0 " as a little-endian word: four cells in the writers' layout. */
+#define SPACED UINT64_C(0x2030203020302030)
+
+/* The cells 0/1 at bytes 0, 2, 4 and 6 of x, packed into its low four bytes. */
+static uint64_t even_bytes(uint64_t x)
+{
+    x = (x | x >> 8) & UINT64_C(0x0000FFFF0000FFFF);
+    return (x | x >> 16) & UINT64_C(0xFFFFFFFF);
+}
+
+/* The index of the lowest nonzero byte of the nonzero word x. */
+static ptrdiff_t low_byte(uint64_t x)
+{
+    ptrdiff_t i = 0;
+    for (; !(x & 0xFF); x >>= 8)
+        i++;
+    return i;
+}
+
+/* data[pos .. pos + len) is the payload of a pattern file of total cells;
+ * packed is 1 for PBM, whose bits may touch, and 0 for NDBIN, whose bits
+ * are one token each. Writes the cells to out, 0 or 1 each, and returns
+ * total, or -1 where the payload holds a '#', a byte that is neither a
+ * blank (the bytes of bytes.isspace) nor a bit, two touching bits in NDBIN,
+ * or other than total bits: formats._payload then decodes it, or locates
+ * its fault, as it does where no library loads.
+ *
+ * Where the payload takes the writers' layout, a bit and a space in turn,
+ * a step checks 16 bytes with one XOR and one mask test and stores 8 cells.
+ * A step that fails at a byte off the layout, such as the newline that ends
+ * a line, keeps the cells of the bit-and-space pairs before that byte:
+ * even_bytes mixes each cell only with the space after it or the one before
+ * it. The bytes from the failing one on are classed one at a time until the
+ * next step. A step, which starts at a bit, is entered only where the byte
+ * before it is no bit: in NDBIN the two would touch, and in PBM a step that
+ * failed would otherwise be tried again at every byte. A step reads only
+ * bytes before pos + len, and stores only below out + total. */
+ptrdiff_t slicethin_decode(const char *data, ptrdiff_t pos, ptrdiff_t len, unsigned char *out,
+                           ptrdiff_t total, int packed)
+{
+    const unsigned char *p = (const unsigned char *)data + pos, *end = p + len;
+    ptrdiff_t n = 0;
+    int bit = 0; /* whether the byte before p is a bit */
+    for (;;) {
+        if (!bit)
+            for (; end - p >= 16 && total - n >= 8 && little_endian(); p += 16, n += 8) {
+                uint64_t a = word(p) ^ SPACED, b = word(p + 8) ^ SPACED;
+                uint64_t cells = even_bytes(a) | even_bytes(b) << 32;
+                const uint64_t off = UINT64_C(0xFFFEFFFEFFFEFFFE); /* a byte off the layout */
+                memcpy(out + n, &cells, 8);
+                if ((a | b) & off) { /* keep the pairs before the first such byte */
+                    ptrdiff_t good = a & off ? low_byte(a & off) : 8 + low_byte(b & off);
+                    p += good / 2 * 2;
+                    n += good / 2;
+                    break;
+                }
+            }
+        if (p == end)
+            return n == total ? total : -1;
+        if (*p == ' ' || (unsigned char)(*p - '\t') < 5) { /* \t \n \v \f \r */
+            bit = 0;
+        } else if ((*p == '0' || *p == '1') && n < total && (packed || !bit)) {
+            out[n++] = (unsigned char)(*p - '0');
+            bit = 1;
+        } else {
+            return -1;
+        }
+        p++;
+    }
+}
+
+/* Four cells in the writers' layout, by the cells as the bits of a nibble,
+ * the first lowest. */
+static const char quads[16][9] = {
+    "0 0 0 0 ", "1 0 0 0 ", "0 1 0 0 ", "1 1 0 0 ", "0 0 1 0 ", "1 0 1 0 ", "0 1 1 0 ", "1 1 1 0 ",
+    "0 0 0 1 ", "1 0 0 1 ", "0 1 0 1 ", "1 1 0 1 ", "0 0 1 1 ", "1 0 1 1 ", "0 1 1 1 ", "1 1 1 1 "};
+
+/* Writes the cells of buf in C order as the writers' payload to out: each
+ * cell as '0' or '1' and a space, except that a newline ends each line
+ * along the last axis. buf has ndim axes of the sizes in shape; pad is 1
+ * where it is padded, and only its interior is written, and 0 where it is
+ * the cells of an array. Four cells go out in one 8-byte store from quads:
+ * one multiply gathers the four cell bytes of a little-endian word, at bits
+ * 0, 8, 16 and 24, to bits 24 to 27, and every other product of a bit and
+ * a term lands apart, so none carries into them. Returns the number of
+ * bytes written, 2 a cell. */
+ptrdiff_t slicethin_encode(unsigned char *out, const unsigned char *buf, int ndim,
+                           const ptrdiff_t *shape, int pad)
+{
+    ptrdiff_t strides[MAX_DIMS], coord[MAX_DIMS], size = 1, width = shape[ndim - 1] - 2 * pad;
+    unsigned char *o = out;
+    int d;
+    if (ndim > MAX_DIMS) /* the arrays above are sized for MAX_DIMS */
+        return -1;
+    for (d = ndim - 1; d >= 0; d--) {
+        strides[d] = size;
+        size *= shape[d];
+        coord[d] = pad;
+    }
+    for (;;) { /* one line along the last axis */
+        const unsigned char *line = buf + pad;
+        ptrdiff_t j = 0;
+        for (d = 0; d < ndim - 1; d++)
+            line += coord[d] * strides[d];
+        for (; j + 4 <= width && little_endian(); j += 4, o += 8) {
+            uint32_t four;
+            memcpy(&four, line + j, 4);
+            memcpy(o, quads[(uint32_t)(four * UINT32_C(0x01020408)) >> 24], 8);
+        }
+        for (; j < width; j++, o += 2) {
+            o[0] = (unsigned char)('0' + line[j]);
+            o[1] = ' ';
+        }
+        o[-1] = '\n';
+        for (d = ndim - 2; d >= 0; d--) {
+            if (++coord[d] < shape[d] - pad)
+                break;
+            coord[d] = pad;
+        }
+        if (d < 0)
+            return o - out;
+    }
 }

@@ -1,20 +1,23 @@
 """The C kernels of ``_kernel.c``: built with the system ``cc`` on first use.
 
-``load`` builds or finds the library once per process, types its four
+``load`` builds or finds the library once per process, types its six
 entry points from ``_ENTRY_POINTS`` and returns it. It is the only code
-that knows ctypes: ``thinning``, ``baselines``, ``pattern`` and ``metrics``
-call ``load()`` where they need a kernel, not at import, because the load
-may compile, and call the typed function directly. ``pointer``, ``shape``,
-``ints`` and ``scratch`` make the arguments: a kernel takes any writable
-buffer, a ``bytearray`` here, by a reference to its first byte, a shape as
-a ``c_ssize_t`` array, ``slicethin_thin`` its schedule as packed C ints and
-``slicethin_counts`` an out array from ``scratch``. The other kernels
-malloc and free their own lists and stacks, and return -1 where those find
-no memory; their callers raise ``MemoryError``. No argument needs a ctypes
-type of its own size: ctypes holds those weakly, and building one again
-costs about 20 us. Importing this module loads ctypes, struct and zlib, and
-a load from the cache nothing more: tempfile is imported only where the
-user's cache directory cannot be used, and subprocess only to compile.
+that knows ctypes: ``thinning``, ``baselines``, ``pattern``, ``metrics``
+and ``formats`` call ``load()`` where they need a kernel, not at import,
+because the load may compile, and call the typed function directly.
+``pointer``, ``shape``, ``ints`` and ``scratch`` make the arguments: a
+kernel takes any writable buffer, a ``bytearray`` here, by a reference to
+a byte of it, a shape as a ``c_ssize_t`` array, ``slicethin_thin`` its
+schedule as packed C ints and ``slicethin_counts`` an out array from
+``scratch``. ``slicethin_decode`` reads a file's ``bytes`` in place, as a
+``c_char_p``, and ``slicethin_encode`` an array's cells by their address.
+The other kernels malloc and free their own lists and stacks, and return
+-1 where those find no memory; their callers raise ``MemoryError``. No
+argument needs a ctypes type of its own size: ctypes holds those weakly,
+and building one again costs about 20 us. Importing this module loads
+ctypes, struct and zlib, and a load from the cache nothing more: tempfile
+is imported only where the user's cache directory cannot be used, and
+subprocess only to compile.
 
 The library is cached in ``$XDG_CACHE_HOME/slicethin`` (default
 ``~/.cache/slicethin``), or, where that cannot be written, in
@@ -27,8 +30,8 @@ checks on the temp directory are for.
 Each build goes to a temporary file that is renamed into place, so
 processes that build at the same time never load a half-written library.
 Where there is no compiler, or the build or the load fails, ``load`` gives
-None: the Python ``nd`` kernel and the numpy ZS/GH driver, component counter
-and metric counts run instead.
+None: the Python ``nd`` kernel, the numpy ZS/GH driver, component counter
+and metric counts and the bytes codec of ``formats`` run instead.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ _SHAPE = ctypes.POINTER(ctypes.c_ssize_t)  # a c_ssize_t array, as ``shape`` giv
 _SHAPES = [ctypes.c_ssize_t * k for k in range(9)]  # one array type per k the kernels take
 # The argument types of each entry point; every one returns a ssize_t: a
 # count, -1 from the three that malloc their own lists or stack where those
-# find no memory, or 0 from slicethin_counts, which fills its out array instead.
+# find no memory, 0 from slicethin_counts, which fills its out array instead,
+# the cells decoded or -1 from slicethin_decode, and the bytes written from
+# slicethin_encode.
 _ENTRY_POINTS = {
     # buf, ndim, shape, subs, ends, nphases
     "slicethin_thin": (ctypes.c_void_p, ctypes.c_int, _SHAPE,
@@ -60,14 +65,19 @@ _ENTRY_POINTS = {
     "slicethin_components": (ctypes.c_void_p, ctypes.c_int, _SHAPE),
     # input, skeleton, ndim, shape, counts
     "slicethin_counts": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int, _SHAPE, ctypes.c_void_p),
+    # data, pos, len, out, total, packed
+    "slicethin_decode": (ctypes.c_char_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p,
+                         ctypes.c_ssize_t, ctypes.c_int),
+    # out, buf, ndim, shape, pad
+    "slicethin_encode": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int, _SHAPE, ctypes.c_int),
 }
 
 
-def pointer(buf):
+def pointer(buf, offset=0):
     """A writable buffer as a kernel's pointer argument: a reference to its
-    first byte, which holds the buffer, and keeps it from being resized,
-    while it lives."""
-    return ctypes.byref(ctypes.c_char.from_buffer(buf))
+    byte at ``offset``, which holds the buffer, and keeps it from being
+    resized, while it lives."""
+    return ctypes.byref(ctypes.c_char.from_buffer(buf), offset)
 
 
 def shape(sizes):

@@ -9,18 +9,25 @@ A file names its own format by its first token: ``read_pattern`` takes either,
 whatever the path, and ``write_pattern`` writes the one the extension names.
 
 One codec decodes a payload into the pattern's shape and a ``bytearray`` of
-its cells, one byte of 0 or 1 each, in C order, without an index per bit:
-comments, where there are any, are blanked out byte for byte, and one
-``bytes.translate`` drops the blanks and maps ``0``/``1`` to 0/1 and any
-other byte to 2. A valid payload then has exactly as many bytes as cells and
-no 2. In NDBIN each bit must also be a whole token: ``read_pattern``
-checks that no two bits touch with numpy, which it builds its array with
-anyway; the CLI's reader, ``read_padded``, checks with bytes alone, first
-that every byte at an odd (or every byte at an even) offset is a blank,
-which holds for every file the writer emits, and only where that fails on a
-mask of the filled bytes. Both checks are exact. Only a file that fails one
-is scanned again, with numpy, to locate its first fault, so a
-``ParseError`` names the byte offset that a token-by-token reader would.
+its cells, one byte of 0 or 1 each, in C order, and encodes the cells back,
+for the library and the CLI alike. Wherever ``_native.load`` gives a
+library, ``slicethin_decode`` reads the payload in C, 16 bytes at a time
+where it takes the writers' layout, and ``slicethin_encode`` writes it
+straight after the header, four cells to an 8-byte store. The decoder
+accepts only a payload of blanks and bits, with no comment, in a ``bytes``;
+on any other it gives up, and the bytes path below reads it as it does
+where no library loads, so every ``ParseError`` is the same on both paths.
+
+The bytes path blanks comments out byte for byte, where there are any, and
+one ``bytes.translate`` drops the blanks and maps ``0``/``1`` to 0/1 and any
+other byte to 2. A valid payload then has exactly as many bytes as cells
+and no 2. In NDBIN each bit must also be a whole token: first every byte at
+an odd (or every byte at an even) offset must be a blank, which holds for
+every file the writer emits, and only where that fails is a mask of the
+filled bytes searched for two that touch. Both checks are exact. Only a file
+that fails one is scanned again, with numpy, to locate its first fault, so
+a ``ParseError`` names the byte offset that a token-by-token reader would.
+It writes with ``bytes.translate`` and strided slice assignments.
 
 ``read_pattern`` views the cells as a bool array; ``read_padded`` pads
 them with bytes operations instead, and ``write_pattern`` writes either
@@ -43,6 +50,7 @@ import re
 import stat
 from pathlib import Path
 
+from . import _native
 from .pattern import _MAX_CELLS, _MAX_DIMS, Padded, _pad, _unpad, as_pattern
 
 
@@ -101,18 +109,8 @@ def _spaced(text):
             or b"\1\1" not in text.translate(_FILLED))
 
 
-def _spaced_numpy(text):
-    """Whether no two bits of a payload that holds only blanks and bits
-    touch, exactly; faster than ``_spaced`` where numpy is in use anyway."""
-    import numpy as np
-
-    filled = np.frombuffer(text, np.uint8) > ord(" ")  # a bit, not a blank
-    return not (filled[:-1] & filled[1:]).any()
-
-
-def _decode(data: bytes, magics=(b"P1", b"NDBIN"), spaced=_spaced_numpy):
-    """The shape and the cells (a bytearray of 0/1, C order) of a file's
-    bytes; ``spaced`` checks NDBIN's one bit per token."""
+def _decode(data: bytes, magics=(b"P1", b"NDBIN")):
+    """The shape and the cells (a bytearray of 0/1, C order) of a file's bytes."""
     magic, off, pos = _next_token(data, 0, "magic")
     if magic not in magics:
         expected = " or ".join(map(repr, magics))
@@ -129,15 +127,20 @@ def _decode(data: bytes, magics=(b"P1", b"NDBIN"), spaced=_spaced_numpy):
     if total > _MAX_CELLS:
         raise ParseError(f"dimension overflow: {'x'.join(map(str, sizes))}", 0)
     shape = tuple(sizes[::-1] if magic == b"P1" else sizes)
-    return shape, _payload(data, pos, total, magic == b"P1", spaced)
+    return shape, _payload(data, pos, total, magic == b"P1")
 
 
 # Maps b"0" and b"1" to 0 and 1, and every other byte to 2.
 _BITS = bytes(b - ord("0") if b in b"01" else 2 for b in range(256))
 
 
-def _payload(data, pos, total, packed, spaced):
+def _payload(data, pos, total, packed):
     """Decode the ``total`` bits after ``pos``; PBM bits may be packed (``1011``)."""
+    lib = _native.load()
+    if lib is not None and isinstance(data, bytes):  # a c_char_p takes bytes only
+        bits, size = bytearray(total), len(data) - pos
+        if lib.slicethin_decode(data, pos, size, _native.pointer(bits), total, packed) >= 0:
+            return bits
     text = data[pos:]
     if b"#" in text:
         # Blank comments out byte for byte, so an index into text stays an offset.
@@ -145,7 +148,7 @@ def _payload(data, pos, total, packed, spaced):
     # Dropping the blanks leaves the bits in order, mapped to 0/1; any other
     # byte becomes a 2.
     bits = bytearray(text.translate(_BITS, _WS))
-    if len(bits) == total and 2 not in bits and (packed or spaced(text)):
+    if len(bits) == total and 2 not in bits and (packed or _spaced(text)):
         return bits
     return _locate_fault(data, text, pos, total, packed)
 
@@ -185,25 +188,32 @@ def _array(shape, bits):
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _body(pattern, shape) -> bytes:
-    """The cells as '0'/'1' separated by spaces, one last-axis line per row:
-    from a bool array with numpy, from a ``Padded`` with bytes operations."""
-    if not math.prod(shape):  # the readers take sizes of at least 1
+def _file(header: str, pattern, shape) -> bytearray:
+    """The header, then the cells as '0'/'1' separated by spaces, one
+    last-axis line per row, from a ``Padded`` or a bool array."""
+    total = math.prod(shape)
+    if not total:  # the readers take sizes of at least 1
         raise FormatError(f"a pattern file cannot hold a zero-length axis: shape {shape}")
-    width = shape[-1]
+    head = header.encode()
+    out = bytearray(len(head) + 2 * total)
+    out[: len(head)] = head
+    lib = _native.load()
+    if lib is None:
+        cells = _unpad(pattern) if isinstance(pattern, Padded) else pattern.tobytes()
+        n, width = len(head), shape[-1]
+        out[n::2] = cells.translate(_DIGITS)
+        out[n + 1 :: 2] = b" " * total
+        out[n + 2 * width - 1 :: 2 * width] = b"\n" * (total // width)
+        return out
     if isinstance(pattern, Padded):
-        cells = _unpad(pattern)
-        out = bytearray(b" ") * (2 * len(cells))
-        out[::2] = cells.translate(_DIGITS)
-        out[2 * width - 1 :: 2 * width] = b"\n" * (len(cells) // width)
-        return bytes(out)
-    import numpy as np
+        buf, ndim, sizes, pad = pattern.ptr, pattern.ndim, pattern.sizes, 1
+    else:
+        import numpy as np
 
-    rows = pattern.reshape(-1, width)
-    out = np.full((rows.shape[0], 2 * width), ord(" "), np.uint8)
-    out[:, ::2] = rows.view(np.uint8) | np.uint8(ord("0"))
-    out[:, -1] = ord("\n")
-    return out.tobytes()
+        pattern = np.ascontiguousarray(pattern)
+        buf, ndim, sizes, pad = pattern.ctypes.data, pattern.ndim, _native.shape(shape), 0
+    lib.slicethin_encode(_native.pointer(out, len(head)), buf, ndim, sizes, pad)
+    return out
 
 
 def _checked(pattern):
@@ -225,19 +235,27 @@ def read_ndbin(data: bytes) -> np.ndarray:
     return _array(*_decode(data, (b"NDBIN",)))
 
 
-def write_pbm(pattern) -> bytes:
-    """Serialize a 2D pattern as plain PBM, one image row per line."""
+def _pbm(pattern) -> bytearray:
     pattern, shape = _checked(pattern)
     if len(shape) != 2:
         raise FormatError("PBM holds 2D patterns only")
     h, w = shape
-    return f"P1\n{w} {h}\n".encode() + _body(pattern, shape)
+    return _file(f"P1\n{w} {h}\n", pattern, shape)
+
+
+def _ndbin(pattern) -> bytearray:
+    pattern, shape = _checked(pattern)
+    return _file(f"NDBIN\n{len(shape)}\n{' '.join(map(str, shape))}\n", pattern, shape)
+
+
+def write_pbm(pattern) -> bytes:
+    """Serialize a 2D pattern as plain PBM, one image row per line."""
+    return bytes(_pbm(pattern))
 
 
 def write_ndbin(pattern) -> bytes:
     """Serialize a pattern as NDBIN, one last-axis stride per line."""
-    pattern, shape = _checked(pattern)
-    return f"NDBIN\n{len(shape)}\n{' '.join(map(str, shape))}\n".encode() + _body(pattern, shape)
+    return bytes(_ndbin(pattern))
 
 
 def export_voxels_csv(pattern) -> bytes:
@@ -259,11 +277,12 @@ def read_pattern(path) -> np.ndarray:
 
 def read_padded(path) -> Padded:
     """``read_pattern`` for the CLI: the pattern as a ``Padded``, read with no numpy."""
-    shape, bits = _decode(Path(path).read_bytes(), spaced=_spaced)
+    shape, bits = _decode(Path(path).read_bytes())
     return _pad(bits, shape)
 
 
-_WRITERS = {".pbm": write_pbm, ".ndbin": write_ndbin}
+# Each gives a bytearray, which write_pattern stores without a copy to bytes.
+_WRITERS = {".pbm": _pbm, ".ndbin": _ndbin}
 # As open(path, "wb") opens, without O_TRUNC: see the module docstring.
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 

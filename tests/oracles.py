@@ -233,8 +233,8 @@ def ruggedize_oracle(arr, probability, seed):
 
 
 # ---------------------------------------------------------------- file formats
-# The byte-at-a-time tokenizer readers the numpy codec in slicethin.formats
-# replaced: same arrays, same ParseError offsets.
+# Byte-at-a-time tokenizer readers: slicethin.formats must give the same
+# arrays and the same ParseError offsets, on the C codec and the bytes path.
 
 MAX_CELLS = 10**8
 MAX_DIMS = 8

@@ -8,7 +8,8 @@ from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
 from oracles import foreground_coords, ndbin_oracle, pbm_oracle
-from slicethin import formats
+from helpers import python_kernels
+from slicethin import _native, formats
 from slicethin.cli import main
 from slicethin.formats import (
     FormatError,
@@ -198,33 +199,45 @@ _PIECES = (
 
 
 def _outcome(read, data):
-    """The array read, or the type and offset of the error raised."""
+    """The array read, or the type, offset and message of the error raised."""
     try:
         return read(data)
     except ValueError as exc:
-        return type(exc), getattr(exc, "offset", None)
+        return type(exc), getattr(exc, "offset", None), str(exc)
 
 
-def _bytes_reader(magic):
-    """The reader of ``magic`` files as the CLI's ``read_padded`` checks them,
-    with bytes alone, but giving an array."""
-    return lambda data: formats._array(*formats._decode(data, (magic,), formats._spaced))
+def _outcomes(read, data):
+    """``_outcome`` on the C codec, where a library loads, and then on the
+    bytes path, which runs where none loads."""
+    outcomes = [_outcome(read, data)]
+    if _native.load() is not None:
+        with python_kernels():
+            outcomes.append(_outcome(read, data))
+    return outcomes
+
+
+def _assert_same(got, want, message=True):
+    """The same array, or an error of the same type and offset, and of the
+    same message where ``message`` is set."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got, want)
+    else:
+        assert got[: 3 if message else 2] == want[: 3 if message else 2]
 
 
 def _assert_same_as_tokenizer(data):
-    for read, oracle in ((read_pbm, pbm_oracle), (read_ndbin, ndbin_oracle),
-                         (_bytes_reader(b"P1"), pbm_oracle),
-                         (_bytes_reader(b"NDBIN"), ndbin_oracle)):
-        got, want = _outcome(read, data), _outcome(oracle, data)
-        if isinstance(want, np.ndarray):
-            assert isinstance(got, np.ndarray) and got.shape == want.shape
-            assert np.array_equal(got, want)
-        else:
-            assert got == want
+    """``read_pbm`` and ``read_ndbin`` on both codec paths against the
+    tokenizer readers; the two paths also give the same messages."""
+    for read, oracle in ((read_pbm, pbm_oracle), (read_ndbin, ndbin_oracle)):
+        first, *rest = _outcomes(read, data)
+        _assert_same(first, _outcome(oracle, data), message=False)
+        for got in rest:
+            _assert_same(got, first)
 
 
 class TestMatchesTokenizer:
-    """The numpy codec against the byte-at-a-time tokenizer readers."""
+    """Both codec paths against the byte-at-a-time tokenizer readers."""
 
     @given(
         hyp.sampled_from([b"", b"P1 ", b"NDBIN ", b"P1 2 2", b"NDBIN 2 1 3", b"NDBIN 3 1 2 1 "]),
@@ -259,12 +272,13 @@ class TestMatchesTokenizer:
             separators = set()
             for byte in range(256):
                 data = head + bytes([byte]) + b"0"
-                got, want = _outcome(read, data), _outcome(oracle, data)
+                want = _outcome(oracle, data)
+                first, *rest = _outcomes(read, data)
+                _assert_same(first, want, message=False)
+                for got in rest:
+                    _assert_same(got, first)
                 if isinstance(want, np.ndarray):
-                    assert np.array_equal(got, want), data
                     separators.add(byte)
-                else:
-                    assert got == want, data
             assert separators == set(b" \t\n\r\v\f"), read
 
     @pytest.mark.parametrize("seed", range(12))
@@ -282,6 +296,77 @@ class TestMatchesTokenizer:
         line = data.find(b"\n", rng.integers(len(data) // 2, len(data))) + 1 or len(data)
         for case in (data, data[:line] + b"# comment 1 0\n" + data[line:]):
             _assert_same_as_tokenizer(case)
+
+
+class TestCodecPaths:
+    """The C codec against the bytes path, on what its word steps meet."""
+
+    @pytest.mark.parametrize("width", [*range(1, 18), 63, 64, 65])
+    def test_payload_ends_inside_a_step(self, width):
+        # A payload of 2 * width bytes, cut by 0 to 17 bytes: the last step
+        # falls short of the end at every offset.
+        arr = np.random.default_rng(width).random((2, width)) < 0.5
+        for data in (write_pbm(arr), write_ndbin(arr)):
+            for cut in range(18):
+                _assert_same_as_tokenizer(data[: len(data) - cut])
+
+    @pytest.mark.parametrize("write", [write_pbm, write_ndbin])
+    def test_every_byte_in_a_step(self, write):
+        # Each byte value at each offset of the first step of a writer's
+        # file, whose payload is the 32 bytes of 16 cells.
+        data = write(np.array([[1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1]], bool))
+        for at in range(len(data) - 32, len(data) - 16):
+            for byte in range(256):
+                _assert_same_as_tokenizer(data[:at] + bytes([byte]) + data[at + 1 :])
+
+    @pytest.mark.parametrize("total", range(1, 13))
+    def test_total_reached_mid_step(self, total):
+        # 16 bits in the writers' layout, where fewer are declared: the bits
+        # after the last cell are excess, in a step or after one.
+        bits = b"1 0 0 1 1 1 0 1 0 0 1 1 0 1 1 0 " * 2
+        for head in (b"P1 %d 1\n", b"NDBIN 2 1 %d\n"):
+            _assert_same_as_tokenizer(head % total + bits)
+            _assert_same_as_tokenizer(head % total + bits[: 2 * total])
+
+    def test_crlf_and_tab_separators(self):
+        arr = np.random.default_rng(3).random((5, 37)) < 0.5
+        for data in (write_pbm(arr), write_ndbin(arr)):
+            for blank in (b"\r\n", b"\t", b"\t\n"):
+                _assert_same_as_tokenizer(data.replace(b"\n", blank))
+            _assert_same_as_tokenizer(data.replace(b" ", b"\t"))
+
+    def test_bit_just_before_a_step(self):
+        # In NDBIN the bit before a step joins its first bit into one token,
+        # which no step may accept; in PBM the bits are packed, and valid.
+        step = b"0 1 0 1 1 1 0 1 "
+        for before in (b"1", b"1 0 1", b"\n1"):
+            payload = before + step * 3
+            total = payload.count(b"0") + payload.count(b"1")
+            for head in (b"P1 %d 1 " % total, b"NDBIN 2 1 %d " % total):
+                _assert_same_as_tokenizer(head + payload)
+
+    def test_bytearray_takes_the_bytes_path(self):
+        # The decoder takes the file's bytes as a c_char_p, which a
+        # bytearray is not; the readers still take one.
+        arr = np.random.default_rng(4).random((7, 19)) < 0.5
+        for write, read in ((write_pbm, read_pbm), (write_ndbin, read_ndbin)):
+            assert np.array_equal(read(bytearray(write(arr))), arr)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_same_bytes_on_both_paths(self, k):
+        # Last-axis widths around each 4-cell store, from a C-order array, a
+        # Fortran-order one and a Padded, on the C codec and on bytes.
+        rng = np.random.default_rng(k)
+        for width in [*range(1, 18), 63, 64, 65]:
+            arr = rng.random((2,) * (k - 2) + (3, width)) < 0.5
+            writers = (write_ndbin, write_pbm) if k == 2 else (write_ndbin,)
+            for write in writers:
+                want = write(arr)
+                for form in (arr, np.asfortranarray(arr), _padded(arr)):
+                    assert write(form) == want
+                    if _native.load() is not None:
+                        with python_kernels():
+                            assert write(form) == want
 
 
 # A 320² disc: its files end in background bits, "... 0 0\n".

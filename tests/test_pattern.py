@@ -148,6 +148,23 @@ class TestConnectedComponents:
         assert_counts(line, 4)
         assert_counts(line.T, 4)
 
+    def test_comb(self):
+        # A back run along row 1, columns 5..14, with teeth in rows 0 and 2:
+        # several runs in the cells l - 1 .. r + 1 of each neighbouring line,
+        # teeth at both ends of that window, and a run that starts inside it
+        # and ends past it. The fill finds each with a new search past the
+        # last. Column 17 touches nothing: a second component. Below, the
+        # same comb with single-cell teeth in row 4, joined by row 3.
+        comb = np.zeros((6, 20), bool)
+        comb[1, 5:15] = True
+        comb[0, [4, 6, 7, 9, 12, 15, 17]] = True
+        comb[2, 4:16:2] = True
+        comb[2, 15:19] = True
+        comb[3, 1:19] = True
+        comb[4, 0:20:2] = True
+        assert_counts(comb, 2)
+        assert_counts(comb.T, 2)
+
     @pytest.mark.parametrize("k", range(2, 9))
     def test_corner_diagonals(self, k):
         # Two cells that share only a corner, along each of the 2^(k-1)
