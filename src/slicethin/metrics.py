@@ -102,7 +102,7 @@ def evaluate(input_pattern, skeleton, iterations: int) -> MetricsReport:
     inp, sk = _padded(input_pattern), _padded(skeleton)
     if inp.shape != sk.shape:
         if sk.ndim == 2:
-            _unit_width(*_counts(sk, sk)[1::2])  # the skeleton's area and covered cells
+            _unit_width(sk.buf.count(1), 0)
         raise ValueError(f"shape mismatch: {inp.pattern_shape} vs {sk.pattern_shape}")
     area_input, area_skeleton, outside, covered = _counts(inp, sk)
     if outside:

@@ -9,6 +9,9 @@ Every kernel works in place on the buffer of a ``Padded``: in C wherever
 none loads. A library call pads the array it is given with numpy
 (``_padded``); the CLI reads its files straight into a ``Padded`` and
 writes them from one (``_pad``, ``_unpad``), so that it imports no numpy.
+``_relayout`` is the one walk over the blocks of an axis in a C-order
+buffer: ``_pad`` and ``_unpad`` move every line with it, and
+``shapes._check_margin`` takes each face of a solid with it.
 ``component_count`` runs ``slicethin_components``, a flood fill over the
 runs along the last axis that mallocs its own stack, or
 ``_numpy_components``, which hooks the edges of one forward offset at a
@@ -118,16 +121,17 @@ def _relayout(data, lines, length, src, dst):
     """A new zeroed bytearray of ``lines * dst[1]`` bytes, into which line i
     of ``length`` bytes at ``src[0] + i * src[1]`` of ``data`` is copied to
     ``dst[0] + i * dst[1]``: one slice assignment per line, or one strided
-    one per byte of a line where there are more lines than bytes in one."""
+    one per byte of a line, of ``data`` itself (a strided memoryview copies
+    a byte at a time), where there are more lines than bytes in one."""
     out = bytearray(lines * dst[1])
-    view = memoryview(data)
     if lines <= length:
+        view = memoryview(data)
         for i in range(lines):
             s, d = src[0] + i * src[1], dst[0] + i * dst[1]
             out[d : d + length] = view[s : s + length]
     else:
         for j in range(length):
-            out[dst[0] + j :: dst[1]] = view[src[0] + j :: src[1]]
+            out[dst[0] + j :: dst[1]] = data[src[0] + j :: src[1]]
     return out
 
 

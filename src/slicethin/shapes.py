@@ -4,7 +4,7 @@ Solids are rasterized from implicit inequalities on cell centers, using
 coordinates centered at (N-1)/2 per axis, so symmetric kinds come out
 mirror-symmetric about every central axis whenever the grid permits. Every
 generated solid must keep at least one cell of background margin on each
-face of the grid.
+face of the grid, which ``_check_margin`` reads with ``pattern._relayout``.
 
 3D quadrics (cylinder, hyperboloids, paraboloid) are built around the last
 axis (axis 2, "z"); their cross-sections live in the first two axes.
@@ -29,7 +29,7 @@ import re
 from collections import namedtuple
 from functools import partial, reduce
 
-from .pattern import _MAX_CELLS, Padded, _as_given, _pad, _padded
+from .pattern import _MAX_CELLS, Padded, _as_given, _pad, _padded, _relayout
 
 
 class MarginError(ValueError):
@@ -160,29 +160,20 @@ def _checked(spec: ShapeSpec):
     return grid, solid, [_param(spec, name) for name in names]
 
 
-def _faces(cells, grid, axis):
-    """Slices of ``cells`` (one byte per cell, C order) that together hold
-    the cells at either end of ``axis``: one per block of the face, or one
-    strided slice per cell of a block where there are fewer of those."""
-    inner = math.prod(grid[axis + 1 :])
-    period = grid[axis] * inner
-    for start in (0, period - inner):
-        if inner <= len(cells) // period:
-            yield from (cells[start + j :: period] for j in range(inner))
-        else:
-            yield from (cells[s : s + inner] for s in range(start, len(cells), period))
-
-
 def _check_margin(kind, cells, grid):
     """Raise unless the solid ``cells`` has a cell and none on a face of the grid."""
     if 1 not in cells:
         raise ValueError(f"shape {kind!r} produced no foreground cells")
     for axis in range(len(grid)):
-        if any(1 in face for face in _faces(cells, grid, axis)):
-            raise MarginError(
-                f"{kind} touches the grid boundary along axis {axis}; "
-                "enlarge the grid or shrink the shape"
-            )
+        inner = math.prod(grid[axis + 1 :])
+        length = grid[axis] * inner
+        lines = len(cells) // length
+        for start in (0, length - inner):
+            if 1 in _relayout(cells, lines, inner, (start, length), (0, inner)):
+                raise MarginError(
+                    f"{kind} touches the grid boundary along axis {axis}; "
+                    "enlarge the grid or shrink the shape"
+                )
 
 
 def generate(spec: ShapeSpec) -> np.ndarray:

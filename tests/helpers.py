@@ -1,6 +1,6 @@
 """Shared test helpers: one ``nd`` sub-cycle of the Python kernel, the C
 kernels swapped for their twins, ``thin`` on both backends, Python code run
-in a fresh interpreter, and pinned shape masks."""
+in a fresh interpreter, unit-width lines and pinned shape masks."""
 
 import contextlib
 import os
@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slicethin
@@ -65,6 +66,22 @@ def run_python(code, **env):
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
+
+
+def hline(length, pad=2):
+    """A horizontal line of ``length`` cells, ``pad`` cells clear of every face."""
+    arr = np.zeros((2 * pad + 1, length + 2 * pad), bool)
+    arr[pad, pad : pad + length] = True
+    return arr
+
+
+def diag(length, pad=2):
+    """A diagonal line of ``length`` cells, ``pad`` cells clear of every face."""
+    n = length + 2 * pad
+    arr = np.zeros((n, n), bool)
+    for i in range(length):
+        arr[pad + i, pad + i] = True
+    return arr
 
 
 # Two parameter sets per shape kind, with the SHA-256 of the mask's bytes

@@ -14,24 +14,12 @@ from slicethin.pattern import component_count
 from slicethin.shapes import ShapeSpec, generate
 from slicethin.thinning import thin
 
+from helpers import diag, hline
+
 
 def check(name, ok, detail=""):
     print(f"{'PASS' if ok else 'FAIL'} {name}")
     assert ok, f"{name}: {detail}"
-
-
-def hline(length, pad=2):
-    arr = np.zeros((2 * pad + 1, length + 2 * pad), bool)
-    arr[pad, pad : pad + length] = True
-    return arr
-
-
-def diag(length, pad=2):
-    n = length + 2 * pad
-    arr = np.zeros((n, n), bool)
-    for i in range(length):
-        arr[pad + i, pad + i] = True
-    return arr
 
 
 def make_corpus():

@@ -8,26 +8,13 @@ from slicethin import _native, baselines
 from slicethin.baselines import gh_thin, zs_thin
 from slicethin.pattern import DimensionError, _padded
 
+from helpers import diag, hline
 from oracles import foreground_coords, gh_deletable_oracle, gh_oracle, zs_deletable_oracle, zs_oracle
 
 
 def random_pattern(shape, density, seed):
     rng = np.random.default_rng(seed)
     return rng.random(shape) < density
-
-
-def hline(length, pad=2):
-    arr = np.zeros((2 * pad + 1, length + 2 * pad), bool)
-    arr[pad, pad : pad + length] = True
-    return arr
-
-
-def diag(length, pad=2):
-    n = length + 2 * pad
-    arr = np.zeros((n, n), bool)
-    for i in range(length):
-        arr[pad + i, pad + i] = True
-    return arr
 
 
 class TestZhangSuen:

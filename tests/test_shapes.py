@@ -2,19 +2,23 @@ import hashlib
 import operator
 import random
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from slicethin import shapes
 from slicethin.pattern import Padded, _padded
 from slicethin.shapes import (
     KINDS,
     MarginError,
     RuggedSpec,
     ShapeSpec,
+    _check_margin,
     _Line,
     _uniforms,
     generate,
+    generate_padded,
     ruggedize,
 )
 
@@ -64,8 +68,28 @@ class TestGenerate:
         # first z plane is empty and only the last one touches.
         p = generate(spec("elliptic-paraboloid", (8, 8, 7), radius=1, height=5))
         assert not p[:, :, 1].any() and p[:, :, -2].any()
-        with pytest.raises(MarginError, match="along axis 2"):
-            generate(spec("elliptic-paraboloid", (8, 8, 5), radius=1, height=5))
+        for make in (generate, generate_padded):
+            with pytest.raises(MarginError, match="along axis 2"):
+                make(spec("elliptic-paraboloid", (8, 8, 5), radius=1, height=5))
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_high_face_only_on_both_paths(self, monkeypatch, axis):
+        # No kind touches only the high face of axis 0 or 1: every solid is
+        # mirror-symmetric there. This one does, of the axis given.
+        def solid(x):
+            return reduce(operator.and_, (c >= 0 if d == axis else abs(c) <= 1
+                                          for d, c in enumerate(x)))
+
+        grid = (5, 6, 7)
+        x = [c - (n - 1) / 2 for c, n in zip(np.indices(grid, dtype=float, sparse=True), grid)]
+        mask = np.broadcast_to(solid(x), grid)
+        touching = [(d, end) for d in range(3) for end in (0, -1) if mask.take(end, d).any()]
+        assert touching == [(axis, -1)]
+        monkeypatch.setitem(shapes._SHAPES, "probe", (3, (), solid))
+        message = f"probe touches the grid boundary along axis {axis}; "
+        for make in (generate, generate_padded):
+            with pytest.raises(MarginError, match=message):
+                make(spec("probe", grid))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -155,6 +179,65 @@ class TestGenerate:
         assert set(grids) == set(KINDS)
         for s in grids.values():
             assert generate(s).any()
+
+
+# Grids of k = 2..5 for the margin check, with sides of 1 and 2. _relayout
+# copies a face a block at a time where it has no more blocks than cells per
+# block (as on axis 0), else with one strided slice per cell of a block (as
+# on the last axis of a grid of more than one line).
+MARGIN_GRIDS = [(1, 5), (5, 1), (2, 7), (7, 2), (3, 3), (4, 3, 5), (2, 6, 1), (1, 1, 4),
+                (3, 1, 4, 2), (2, 5, 2, 3), (2, 3, 1, 4, 3), (3, 3, 3, 3, 3)]
+
+
+def first_axis_touched(arr):
+    """The first axis on either face of which ``arr`` has a cell, or None."""
+    ends = ((arr.take(0, d), arr.take(-1, d)) for d in range(arr.ndim))
+    return next((d for d, (low, high) in enumerate(ends) if low.any() or high.any()), None)
+
+
+def check_like_oracle(arr):
+    axis = first_axis_touched(arr)
+    if axis is None:
+        _check_margin("probe", arr.tobytes(), arr.shape)
+    else:
+        message = (f"probe touches the grid boundary along axis {axis}; "
+                   "enlarge the grid or shrink the shape")
+        with pytest.raises(MarginError, match=f"^{message}$"):
+            _check_margin("probe", arr.tobytes(), arr.shape)
+    return axis
+
+
+class TestCheckMargin:
+    @pytest.mark.parametrize("grid", MARGIN_GRIDS)
+    def test_one_cell_on_each_face(self, grid):
+        centre = [n // 2 for n in grid]
+        for axis in range(len(grid)):
+            for end in (0, grid[axis] - 1):
+                arr = np.zeros(grid, bool)
+                arr[(*centre[:axis], end, *centre[axis + 1 :])] = True
+                touched = check_like_oracle(arr)
+                # The centre of a side of 1 or 2 lies on its faces too.
+                if all(n > 2 for d, n in enumerate(grid) if d < axis):
+                    assert touched == axis
+        if min(grid) > 2:
+            arr = np.zeros(grid, bool)
+            arr[tuple(centre)] = True
+            assert check_like_oracle(arr) is None
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(31)
+        touched = set()
+        for _ in range(400):
+            grid = tuple(rng.integers(1, 7, rng.integers(2, 6)))
+            arr = rng.random(grid) < rng.choice([0.02, 0.1, 0.3])
+            for d in range(rng.integers(0, len(grid) + 1)):  # clear the first axes' faces
+                arr[(slice(None),) * d + ([0, -1],)] = False
+            if arr.any():
+                touched.add(check_like_oracle(arr))
+            else:
+                with pytest.raises(ValueError, match="'probe' produced no foreground"):
+                    _check_margin("probe", arr.tobytes(), grid)
+        assert touched == {None, 0, 1, 2, 3, 4}
 
 
 class TestRuggedize:
