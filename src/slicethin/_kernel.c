@@ -18,8 +18,12 @@
  * loop of the numpy driver (baselines._numpy_sweep), coding only the pixels
  * of a contour list instead of every pixel of the image: the foreground
  * pixels with a background edge neighbour, found a word at a time, and then
- * the edge neighbours of the pixels deleted. Each sub-iteration moves its
- * marked pixels to a list of their own without a branch.
+ * the edge neighbours of the pixels deleted. A pixel's code is its 3x3
+ * window, from three 4-byte row loads (a byte at a time where a word does
+ * not hold its lowest byte first), and indexes one of two 512-entry tables
+ * that each call builds from the two 256-entry ones it is given. Each
+ * sub-iteration moves its marked pixels to a list of their own without a
+ * branch.
  *
  * slicethin_components: the number of (3^k - 1)-connected foreground
  * components, by a flood fill over the runs along the last axis, which
@@ -346,9 +350,36 @@ static uint64_t word(const unsigned char *p)
     return w;
 }
 
+/* 1 where a word holds its lowest byte first, as the sweep's row loads and
+ * the word steps of the codec assume; elsewhere they read a byte at a time.
+ * gcc folds it to a constant. */
+static int little_endian(void)
+{
+    const uint16_t one = 1;
+    unsigned char low;
+    memcpy(&low, &one, 1);
+    return low;
+}
+
 /* The bits of a sweep's buffer cell. */
 #define FG 1     /* foreground */
 #define LISTED 2 /* in the contour list */
+
+/* The FG bits of cells lane .. lane + 2 of the four from p, the first
+ * lowest. Where a word holds its lowest byte first, they come from one
+ * 4-byte load: one mask keeps the three FG bits, at bits 8 * lane + 0, 8
+ * and 16, and one multiply by 2^16 + 2^9 + 2^2 gathers them to bits
+ * 8 * lane + 16 to 18, where no other product of a bit and a term lands,
+ * so none carries into them; elsewhere the bytes are read one at a time. */
+static unsigned row3(const unsigned char *p, int lane)
+{
+    uint32_t four;
+    if (!little_endian())
+        return (p[lane] & FG) | (p[lane + 1] & FG) << 1 | (p[lane + 2] & FG) << 2;
+    memcpy(&four, p, 4);
+    four &= UINT32_C(0x010101) << 8 * lane;
+    return four * UINT32_C(0x010204) >> (8 * lane + 16) & 7;
+}
 
 /* buf is the padded rows x cols pattern; tables holds the two
  * sub-iterations' 256-entry deletability tables, indexed by the code of
@@ -365,16 +396,21 @@ static uint64_t word(const unsigned char *p)
  * neighbouring words, tested only for zero) lists none, and only the other
  * words and the last few cells are tested one cell at a time.
  *
- * A sub-iteration codes each listed pixel from the FG bits at fixed offsets
- * off the rows above (u), at (v) and below (w) it, so every code sees the
- * frozen image, and, without a branch on the table's answer, keeps the
- * pixel in place in the list or appends it to the marked list. Then it
- * deletes each marked pixel and appends its foreground edge neighbours not
- * yet listed, which the LISTED bit keeps from being listed twice, after the
- * kept entries: a pixel gains a background edge neighbour only where one is
- * deleted. The contour list holds distinct foreground pixels and the marked
- * list some of them, so one malloc of one flat index per pattern cell for
- * each, and one more (a pattern may have none), holds both. */
+ * A sub-iteration codes each listed pixel from three 4-byte loads (row3),
+ * so every code sees the frozen image: the row above and the pixel's own
+ * row from column -1, the row below from column -2, which keeps every load
+ * inside the buffer, even at the first and the last interior cell. The
+ * nine bits, row-major (bit 3 * row + column, the row above first), index
+ * one of two 512-entry tables that each call builds from the 256-entry
+ * ones, ignoring the centre bit. Without a branch on the table's answer, it
+ * keeps the pixel in place in the list or appends it to the marked list.
+ * Then it deletes each marked pixel and appends its foreground edge
+ * neighbours not yet listed, which the LISTED bit keeps from being listed
+ * twice, after the kept entries: a pixel gains a background edge neighbour
+ * only where one is deleted. The contour list holds distinct foreground
+ * pixels and the marked list some of them, so one malloc of one flat index
+ * per pattern cell for each, and one more (a pattern may have none), holds
+ * both. */
 ptrdiff_t slicethin_sweep(unsigned char *buf, ptrdiff_t rows, ptrdiff_t cols,
                           const unsigned char *tables)
 {
@@ -382,10 +418,17 @@ ptrdiff_t slicethin_sweep(unsigned char *buf, ptrdiff_t rows, ptrdiff_t cols,
     ptrdiff_t cells = (rows - 2) * (cols - 2), end = (rows - 1) * cols - 1;
     ptrdiff_t n = 0, iterations = 0, r;
     int changed = 1, k;
+    unsigned char windows[1024]; /* the two tables by the 3x3 window */
     ptrdiff_t *list = malloc((size_t)(2 * cells + 1) * sizeof *list), *marked;
     if (!list)
         return -1;
     marked = list + cells;
+    for (unsigned x = 0; x < 1024; x++) {
+        /* Window bits 1, 2, 5, 8, 7, 6, 3 and 0 are P2..P9; bit 9 picks the table. */
+        unsigned code = (x >> 1 & 0x23) | (x >> 3 & 0x14) | (x >> 5 & 0x08) |
+                        (x << 3 & 0x40) | (x << 7 & 0x80);
+        windows[x] = tables[256 * (x >> 9) + code];
+    }
     /* Only interior cells can be foreground, so their neighbours are in bounds. */
     for (ptrdiff_t i = cols + 1, stop; i < end; i = stop) {
         const unsigned char *u = buf + i - cols, *v = buf + i, *w = buf + i + cols;
@@ -401,14 +444,12 @@ ptrdiff_t slicethin_sweep(unsigned char *buf, ptrdiff_t rows, ptrdiff_t cols,
     while (changed) {
         iterations++;
         changed = 0;
-        for (const unsigned char *table = tables; table < tables + 512; table += 256) {
+        for (const unsigned char *table = windows; table < windows + 1024; table += 512) {
             ptrdiff_t kept = 0, m = 0;
             for (r = 0; r < n; r++) {
-                const unsigned char *u = buf + list[r] - cols, *v = u + cols, *w = v + cols;
-                /* bit j is P(j+2): north, then clockwise */
-                ptrdiff_t t = table[(u[0] & FG) | (u[1] & FG) << 1 | (v[1] & FG) << 2 |
-                                    (w[1] & FG) << 3 | (w[0] & FG) << 4 | (w[-1] & FG) << 5 |
-                                    (v[-1] & FG) << 6 | (u[-1] & FG) << 7];
+                const unsigned char *v = buf + list[r];
+                ptrdiff_t t = table[row3(v - cols - 1, 0) | row3(v - 1, 0) << 3 |
+                                    row3(v + cols - 2, 1) << 6];
                 marked[m] = list[r];
                 m += t;
                 list[kept] = list[r];
@@ -592,16 +633,6 @@ ptrdiff_t slicethin_counts(const unsigned char *input, const unsigned char *skel
                                             p[1], p[cols - 1], p[cols], p[cols + 1]);
     }
     return 0;
-}
-
-/* 1 where a word holds its lowest byte first, as the word steps of the
- * codec below assume; elsewhere they are skipped. gcc folds it to a constant. */
-static int little_endian(void)
-{
-    const uint16_t one = 1;
-    unsigned char low;
-    memcpy(&low, &one, 1);
-    return low;
 }
 
 /* "0 0 0 0 " as a little-endian word: four cells in the writers' layout. */

@@ -25,9 +25,13 @@ the pixels just deleted. A pixel whose four edge neighbors are all
 foreground never needs listing: neither table deletes it (ZS needs AP = 1,
 which leaves BP = 7, and GH needs CP = 1). Each sub-iteration codes the
 listed pixels, then moves the marked ones to a list of their own and
-deletes them. Only where no library loads, ``_numpy_sweep`` codes every
-pixel on every sub-iteration; the two give the same skeletons and
-iteration counts.
+deletes them. The C sweep codes a pixel by its 3x3 window, read as three
+4-byte row loads (a byte at a time where a word does not hold its lowest
+byte first), and looks it up in one of two 512-entry tables that each call
+builds from these 256-entry ones, so the rules are stated only here and in
+the tests. Only where no library loads, ``_numpy_sweep`` codes every pixel
+on every sub-iteration; the two give the same skeletons and iteration
+counts.
 """
 
 from __future__ import annotations

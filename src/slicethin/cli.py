@@ -1,7 +1,8 @@
 """Command-line front end: thin, compare, metrics, gen.
 
 Exit codes: 0 on success, 1 for algorithm/metric errors (e.g. a 2D-only
-baseline applied to a 3D pattern, margin violations), 2 for usage and
+baseline applied to a 3D pattern, margin violations, a kernel that finds no
+memory for its lists or stack), 2 for usage and
 format errors (bad flags, unparseable schedules or files, paths that
 cannot be read or written, a 3D pattern written as PBM).
 
@@ -194,6 +195,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:  # DimensionError, MarginError, metric errors, ...
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a kernel's, or Python's own, which has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -107,7 +107,8 @@ def _padded(pattern) -> Padded:
     arr = as_pattern(pattern)
     shape = tuple(n + 2 for n in arr.shape)
     buf = bytearray(math.prod(shape))
-    np.frombuffer(buf, np.uint8).reshape(shape)[(slice(1, -1),) * arr.ndim] = arr
+    # The bool cells through a uint8 view: the same bytes, copied without a cast.
+    np.frombuffer(buf, np.uint8).reshape(shape)[(slice(1, -1),) * arr.ndim] = arr.view(np.uint8)
     return Padded(buf, shape)
 
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -289,6 +291,30 @@ def test_census_of_every_4x4_pattern_matches_numpy(rule):
         sk, it = RULES[rule][0](np.pad(image, ((0, 0), (shift, 0))))
         assert np.array_equal(sk[:, shift:], expected) and not sk[:, :shift].any(), shift
         assert it == iterations, shift
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_every_pattern_up_to_3x3_alone_matches_oracle(rule):
+    """Every pattern of every shape from 1 x 1 to 3 x 3, each alone in its
+    own buffer, against the scalar oracle. Its cells reach the first and the
+    last interior cell of the padded buffer, where the C sweep's row loads
+    come closest to the buffer's ends; no census tile reaches them. Where a
+    library loads, the sweep also runs on a numpy copy of the buffer: a
+    bytearray keeps one byte more, for a NUL, so a load one byte past its
+    end would be seen by AddressSanitizer only there."""
+    thin_fn, oracle = RULES[rule]
+    lib, tables = _native.load(), b"".join(TABLES[rule])
+    for shape in product(range(1, 4), repeat=2):
+        cells = shape[0] * shape[1]
+        for bits in range(1 << cells):
+            pattern = (bits >> np.arange(cells) & 1).astype(bool).reshape(shape)
+            sk, it = thin_fn(pattern)
+            expected = oracle(foreground_coords(pattern), shape)
+            assert (foreground_coords(sk), it) == expected, (shape, bits)
+            if lib is not None:
+                buf = _padded(pattern).array().copy()
+                assert lib.slicethin_sweep(buf.ctypes.data, *buf.shape, tables) == it
+                assert np.array_equal(buf[1:-1, 1:-1], sk), (shape, bits)
 
 
 def edge_patterns():

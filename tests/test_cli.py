@@ -5,6 +5,7 @@ import os
 import random
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 from hypothesis.extra import numpy as hnp
 
-from slicethin import _native
+from slicethin import _native, baselines
 from slicethin.cli import _UsageError, build_parser, main
 from slicethin.formats import read_pattern, write_ndbin, write_pbm, write_pattern
 from slicethin.metrics import CSV_HEADER, UndefinedMetricError, evaluate
@@ -202,6 +203,57 @@ class TestMetricsCommand:
             evaluate(read_pattern(square7), read_pattern(sk), 0)
         assert main(["metrics", "--input", str(square7), "--skeleton", str(sk)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# The kernels that malloc their own lists or stack, and the message of the
+# MemoryError that each caller raises where they find no memory.
+NO_MEMORY = {
+    "slicethin_thin": "no memory for the run lists of the nd kernel",
+    "slicethin_sweep": "no memory for the contour list of the ZS/GH driver",
+    "slicethin_components": "no memory for the stack of the component count",
+}
+
+
+@pytest.fixture
+def failing_kernels(monkeypatch):
+    """The library with every kernel that mallocs returning -1, as where
+    malloc fails; the others, which read, write and count, stay real."""
+    lib = _native.load()
+    if lib is None:
+        pytest.skip("no C kernel loads here")
+    fake = types.SimpleNamespace(**{name: getattr(lib, name) for name in _native._ENTRY_POINTS})
+    for name in NO_MEMORY:
+        setattr(fake, name, lambda *args: -1)
+    monkeypatch.setattr(_native, "load", lambda: fake)
+
+
+@pytest.mark.usefixtures("failing_kernels")
+class TestFailedAllocation:
+    """A kernel that finds no memory is an algorithm error: one error line
+    and exit 1, no traceback."""
+
+    @pytest.mark.parametrize("algo, kernel", [("nd", "slicethin_thin"), ("zs", "slicethin_sweep"),
+                                              ("gh", "slicethin_sweep")])
+    def test_thin(self, square7, tmp_path, capsys, algo, kernel):
+        out = tmp_path / "sk.pbm"
+        assert main(["thin", "--algo", algo, "--input", str(square7), "--output", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {NO_MEMORY[kernel]}\n")
+        assert not out.exists()
+
+    def test_metrics_component_count(self, square7, capsys):
+        assert main(["metrics", "--input", str(square7), "--skeleton", str(square7)]) == 1
+        assert capsys.readouterr() == ("", f"error: {NO_MEMORY['slicethin_components']}\n")
+
+
+def test_memory_error_without_message(monkeypatch, square7, tmp_path, capsys):
+    # Python's own MemoryError, as from a bytearray too large, has no message.
+    def no_memory(pattern):
+        raise MemoryError
+
+    monkeypatch.setattr(baselines, "gh_thin", no_memory)
+    out = tmp_path / "sk.pbm"
+    assert main(["thin", "--algo", "gh", "--input", str(square7), "--output", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 class TestGenCommand:

@@ -253,6 +253,18 @@ class TestBytesPadding:
             assert _outcome(evaluate, padded, skeleton) == _outcome(evaluate, arr, want)
         assert padded.buf == expected.buf  # the input is left untouched
 
+    @pytest.mark.parametrize("layout", ["fortran", "reversed", "int"])
+    @pytest.mark.parametrize("shape", [(9, 12), (5, 8, 7), (3, 6, 4, 5)])
+    def test_any_layout_matches_bytes(self, shape, layout):
+        # _padded copies the cells through a uint8 view of whatever layout
+        # it is given; the bytes path pads the C-order cells.
+        arr = random_pattern(shape, 0.5, 2)
+        arr = {"fortran": np.asfortranarray(arr), "reversed": arr[::2, ::-1],
+               "int": arr.astype(int)}[layout]
+        expected = _pad(bytearray(arr.astype(np.uint8).tobytes()), arr.shape)
+        padded = _padded(arr)
+        assert padded.shape == expected.shape and padded.buf == expected.buf
+
     @pytest.mark.parametrize("shape", [(10**5, 1), (1, 10**5), (3, 10**4, 1), (1, 7, 1, 10**4)])
     def test_long_and_short_lines(self, shape):
         # Many short lines take one strided copy per byte of a line, few long
